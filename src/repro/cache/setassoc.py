@@ -46,29 +46,6 @@ class Eviction:
     was_speculative: bool
 
 
-def snapshot_set(ways) -> tuple:
-    """Immutable per-way snapshot of one set's lines.
-
-    ``None`` for empty ways, else the full 7-field line tuple. Used by the
-    batched backend both as the copy-on-first-touch undo record and as the
-    canonical per-set state for interning.
-    """
-    return tuple(
-        None
-        if line is None
-        else (
-            line.line_addr,
-            line.state,
-            line.dirty,
-            line.speculative,
-            line.epoch,
-            line.installed_at,
-            line.last_access,
-        )
-        for line in ways
-    )
-
-
 class SetAssociativeCache:
     """One cache level."""
 
@@ -96,20 +73,6 @@ class SetAssociativeCache:
         self._rand_mask = (1 << randomizer.bits) - 1 if randomizer is not None else 0
         self._set_index_cache: dict = {}
         self._where: dict = {}
-        #: Structural-mutation counter: bumped by install/invalidate/flush/
-        #: commit_epoch/clear (recency touches are covered by the hit/miss
-        #: stat counters, which every lookup bumps). The batched backend uses
-        #: ``(version, stats.hits, stats.misses)`` to detect out-of-band
-        #: mutations between memoized rounds.
-        self.version = 0
-        #: Copy-on-first-touch recording (batched backend): when a dict is
-        #: attached, every mutating path snapshots the touched set's content
-        #: *before* its first mutation of the round, keyed by set index.
-        self._recording: Optional[dict] = None
-        #: Set True when a whole-cache mutation (clear) happens while a
-        #: recording is attached — the round's transition is then too big to
-        #: memoize and is discarded.
-        self._record_spill = False
 
     # -- indexing ---------------------------------------------------------------
 
@@ -160,9 +123,6 @@ class SetAssociativeCache:
             if line is not None and line.line_addr == line_addr and line.valid:
                 self.stats.hits += 1
                 if touch:
-                    rec = self._recording
-                    if rec is not None and loc[0] not in rec:
-                        rec[loc[0]] = snapshot_set(self._sets[loc[0]])
                     line.last_access = cycle
                 return line
             del self._where[line_addr]
@@ -200,10 +160,6 @@ class SetAssociativeCache:
         """
         line_addr = addr & self._line_mask
         set_index, way, existing = self._find(addr)
-        self.version += 1
-        rec = self._recording
-        if rec is not None and set_index not in rec:
-            rec[set_index] = snapshot_set(self._sets[set_index])
         if existing is not None:
             # Already present — refresh rather than duplicate.
             existing.touch(cycle)
@@ -263,10 +219,6 @@ class SetAssociativeCache:
         set_index, way, line = self._find(addr)
         if line is None or way is None:
             return None
-        self.version += 1
-        rec = self._recording
-        if rec is not None and set_index not in rec:
-            rec[set_index] = snapshot_set(self._sets[set_index])
         removed = line
         self._sets[set_index][way] = None
         self._where.pop(line.line_addr, None)
@@ -290,16 +242,11 @@ class SetAssociativeCache:
     def commit_epoch(self, epoch: int) -> int:
         """Clear speculative marks of ``epoch`` (window committed); count them."""
         cleared = 0
-        rec = self._recording
-        for set_index, ways in enumerate(self._sets):
+        for ways in self._sets:
             for line in ways:
                 if line is not None and line.speculative and line.epoch == epoch:
-                    if rec is not None and set_index not in rec:
-                        rec[set_index] = snapshot_set(ways)
                     line.commit()
                     cleared += 1
-        if cleared:
-            self.version += 1
         return cleared
 
     def speculative_lines(self, epoch: Optional[int] = None) -> List[CacheLine]:
@@ -322,9 +269,6 @@ class SetAssociativeCache:
         )
 
     def clear(self) -> None:
-        self.version += 1
-        if self._recording is not None:
-            self._record_spill = True
         for s in range(self.geometry.sets):
             self._sets[s] = [None] * self.geometry.ways
         self._where.clear()

@@ -95,19 +95,6 @@ class Defense(abc.ABC):
     #: together with ``allows_speculative_install = False``.
     shadow_speculative_fills: bool = False
 
-    #: The batched backend may memoize and replay rounds only when the
-    #: defense's squash handling is a pure deterministic function of the
-    #: hierarchy state (no internal RNG, no wall clock). Defaults to False:
-    #: an unknown defense forces the always-correct scalar path; the
-    #: deterministic in-tree defenses opt in explicitly.
-    batch_replay_safe: bool = False
-
-    #: Integer attributes the batched backend snapshots before/after a
-    #: recorded round and re-applies (as deltas) on replay. Subclasses with
-    #: their own counters extend this tuple; wrapped inner defenses are
-    #: walked via their ``inner`` attribute.
-    replay_counter_attrs: "tuple" = ("squash_count", "total_stall")
-
     def __init__(self, hierarchy: "CacheHierarchy") -> None:
         self.hierarchy = hierarchy
         self.squash_count = 0
@@ -182,9 +169,6 @@ class DefenseCapabilities:
     #: Scheme family: "none", "undo" (rollback), "invisible" (delay),
     #: "shadow" (shadow structures), "cancel" (cancellable requests).
     family: str
-    #: True when the batched backend may memoize/replay rounds under this
-    #: defense (mirrors :attr:`Defense.batch_replay_safe`).
-    replay_safe: bool
     #: Channel keys (see :mod:`repro.attack.channel`) the scheme claims to
     #: close, e.g. ("flush",) for undo schemes, ("flush", "rollback") for
     #: shadow-structure schemes.

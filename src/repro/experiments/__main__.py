@@ -138,15 +138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "python -m repro.tools.campaign_top PATH --follow",
     )
     parser.add_argument(
-        "--backend",
-        choices=("scalar", "batched"),
-        default=os.environ.get("REPRO_BACKEND", "scalar"),
-        help="execution backend for attack cores: 'scalar' is the reference "
-        "one-round-at-a-time model, 'batched' memoizes and replays repeated "
-        "rounds (bit-identical results, same cache keys and digests; "
-        "default: %(default)s, or $REPRO_BACKEND)",
-    )
-    parser.add_argument(
         "--no-spans",
         action="store_true",
         help="disable campaign span recording (spans are task-granularity "
@@ -179,7 +170,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         task_timeout=args.task_timeout,
         spans=not args.no_spans,
         event_log=event_log,
-        backend=args.backend,
     )
     profiler = Profiler()
 

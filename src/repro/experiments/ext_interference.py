@@ -26,9 +26,8 @@ The merged table shows:
   defense claims the rollback channel closed — the leak rides entirely
   on the second context's observation.
 
-The harness couples two runs through a shared timeline, which memoized
-replay cannot see, so it constructs scalar cores directly; shards are
-backend-invariant by construction (docs/channels.md).
+The harness couples two runs through a shared timeline
+(docs/channels.md).
 """
 
 from __future__ import annotations

@@ -26,12 +26,8 @@ table shows the paper-shaped story:
   claims the rollback channel closed (the gadget transmits *only*
   through the divider).
 
-Shards run under whatever backend the campaign selected: the round loop
-is memoization-friendly, so this experiment is the batched backend's
-coverage of the FU-occupancy model. Only replay-stable observables
-(latencies, stalls) are reported — FU diagnostic counters live on the
-scalar core and are excluded to keep output byte-identical across
-backends.
+Only the attacker-visible observables (latencies, stalls) are reported;
+the core's FU diagnostic counters are internals, not part of the channel.
 """
 
 from __future__ import annotations
@@ -85,9 +81,7 @@ class ExtRewind(ShardableExperiment):
         rows = []
         for bit in (0, 1):
             for sample in attack.sample_many(bit, rounds):
-                # Replay-stable observables only: latency and stall are
-                # architecturally visible and identical across backends;
-                # the scalar core's FU diagnostic counters are not.
+                # Attacker-visible observables only: latency and stall.
                 rows.append([sample.secret, sample.latency, sample.stall])
         return {"defense": defense_key, "rows": rows}
 

@@ -1,1 +1,1 @@
-"""Cross-backend differential-testing harness (scalar vs. batched)."""
+"""Golden-pin corpus of checked-in multi-round workloads."""

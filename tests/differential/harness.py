@@ -1,4 +1,4 @@
-"""Replay one workload under both execution backends and diff every round.
+"""Run one checked-in workload round by round and pin every round.
 
 A *case* is a small JSON-serializable dict describing a deterministic
 multi-round workload. Two modes:
@@ -7,32 +7,32 @@ multi-round workload. Two modes:
   through a secret-bit sequence (what the campaign engine actually runs);
 * ``"program"`` — a raw instruction list executed round after round on a
   bare core with a configurable cache/MSHR geometry, optionally with
-  per-round out-of-band DRAM pokes (what the Hypothesis property
-  generates).
+  per-round out-of-band DRAM pokes.
 
-:func:`run_case` executes a case under one backend and captures a *round
-record* per round: latency/cycles/instructions, final registers, the
-squash trace, the squash-level event-trace tail, the registry snapshot,
-and full machine + stats fingerprints (see :mod:`repro.cpu.batched`).
-:func:`first_divergence` diffs two record lists down to the first
-(round, field) mismatch, and :func:`divergence_report` shrinks a mismatch
-to that single round, re-running the scalar side with a per-instruction
-timeline and showing the batched side's execution mode and event log —
-the artifact CI uploads when a differential test fails.
+:func:`run_case` executes a case and captures a *round record* per round:
+latency/cycles/instructions, final registers, the squash trace, the
+squash-level event-trace tail, the registry snapshot, and full machine +
+stats fingerprints. :func:`pin_round` reduces a record to its golden pin:
+the three timing numbers verbatim plus a sha256 over everything else. Each
+case's JSON stores the expected pins under ``"golden"``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.attack import GadgetParams, UnxpecAttack
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.setassoc import CacheStats
 from repro.common.config import CacheGeometry, CoreConfig, SystemConfig
-from repro.cpu.backend import use_backend
-from repro.cpu.batched import machine_fingerprint, stats_fingerprint
+from repro.cpu.core import Core
 from repro.cpu.noise import campaign_noise
+from repro.cpu.predictor import PredictorStats
+from repro.defense.base import Defense
 from repro.defense.cachesquash import CacheSquash
 from repro.defense.cleanupspec import CleanupSpec
 from repro.defense.constant_time import ConstantTimeRollback
@@ -40,24 +40,19 @@ from repro.defense.delay_on_miss import DelayOnMiss
 from repro.defense.safespec import SafeSpec
 from repro.defense.unsafe import UnsafeBaseline
 from repro.isa import ProgramBuilder
+from repro.memory.dram import DramStats
+from repro.memory.mshr import MshrStats
 from repro.obs import Observability, set_default_obs
 
-#: Directory of checked-in regression cases (every past divergence and the
+#: Directory of checked-in regression cases (every past model bug and the
 #: golden-round configurations live here).
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
-#: Fields of a round record, in the order they are compared.
-ROUND_FIELDS = (
-    "latency",
-    "cycles",
-    "instructions",
-    "registers",
-    "squashes",
-    "trace",
-    "registry",
-    "machine",
-    "stats",
-)
+#: Round-record fields pinned verbatim.
+TIMING_FIELDS = ("latency", "cycles", "instructions")
+
+#: Round-record fields pinned through one sha256.
+HASHED_FIELDS = ("registers", "squashes", "trace", "registry", "machine", "stats")
 
 _DEFENSES = {
     "cleanup": lambda h: CleanupSpec(h),
@@ -66,6 +61,21 @@ _DEFENSES = {
     "constant": lambda h: ConstantTimeRollback(h, constant_cycles=40),
     "safespec": lambda h: SafeSpec(h),
     "cachesquash": lambda h: CacheSquash(h),
+}
+
+#: Field-name tuples of the stats bags a round mutates, in the order
+#: :func:`stats_fingerprint` zips them with the live bag objects.
+_BAG_FIELDS = tuple(
+    tuple(f.name for f in dataclass_fields(cls))
+    for cls in (CacheStats, CacheStats, DramStats, MshrStats, PredictorStats)
+)
+
+#: Integer counters every defense keeps, plus each family's own.
+_DEFENSE_COUNTERS = ("squash_count", "total_stall")
+_FAMILY_COUNTERS = {
+    CleanupSpec: ("total_invalidations_l1", "total_invalidations_l2", "total_restorations"),
+    SafeSpec: ("total_shadow_fills", "total_shadow_discards"),
+    CacheSquash: ("total_cancelled", "total_cancel_stall"),
 }
 
 
@@ -96,6 +106,118 @@ def build_program(specs) -> object:
     b.label("end")
     b.halt()
     return b.build()
+
+
+def _snapshot_set(ways) -> tuple:
+    """Per-way snapshot of one set: ``None`` or the full 7-field line tuple."""
+    return tuple(
+        None
+        if line is None
+        else (
+            line.line_addr,
+            line.state,
+            line.dirty,
+            line.speculative,
+            line.epoch,
+            line.installed_at,
+            line.last_access,
+        )
+        for line in ways
+    )
+
+
+def _rng_state_key(rng) -> tuple:
+    """Hashable canonical form of a numpy Generator's state."""
+    state = rng.bit_generator.state
+    inner = state["state"]
+    return (
+        state["bit_generator"],
+        tuple(sorted(inner.items())) if isinstance(inner, dict) else inner,
+        state.get("has_uint32", 0),
+        state.get("uinteger", 0),
+    )
+
+
+def _rng_policies(hierarchy: CacheHierarchy) -> tuple:
+    """Replacement policies that hold an RNG (walking NoMo wrappers)."""
+    out = []
+    for cache in (hierarchy.l1, hierarchy.l2):
+        policy = cache.policy
+        inner = getattr(policy, "inner", None)
+        if inner is not None and hasattr(inner, "_rng"):
+            policy = inner
+        if hasattr(policy, "_rng"):
+            out.append(policy)
+    return tuple(out)
+
+
+def _defense_chain(defense) -> tuple:
+    """The defense plus wrapped inner defenses (ConstantTime -> Cleanup)."""
+    chain = []
+    node = defense
+    while isinstance(node, Defense) and node not in chain:
+        chain.append(node)
+        node = getattr(node, "inner", None)
+    return tuple(chain)
+
+
+def machine_fingerprint(core: Core) -> tuple:
+    """Full comparable snapshot of a core's machine state: both cache
+    levels, MSHR occupancy, predictor table, replacement-RNG states, DRAM
+    contents, speculation epochs and pending coherence downgrades."""
+    h = core.hierarchy
+
+    def cache_state(cache) -> tuple:
+        return tuple(
+            (set_index, _snapshot_set(ways))
+            for set_index, ways in enumerate(cache._sets)
+            if any(ways)
+        )
+
+    mshr_state = tuple(
+        sorted(
+            (
+                e.line_addr,
+                e.issue_cycle,
+                e.complete_cycle,
+                e.speculative,
+                -1 if e.victim_line is None else e.victim_line,
+                e.victim_dirty,
+                e.merged,
+            )
+            for e in h.mshr._entries.values()
+        )
+    )
+    return (
+        cache_state(h.l1),
+        cache_state(h.l2),
+        mshr_state,
+        tuple(sorted(core.predictor._counters.items())),
+        tuple(_rng_state_key(p._rng) for p in _rng_policies(h)),
+        tuple(sorted(h.dram._words.items())),
+        h.tracker._next_epoch,
+        tuple(h.tracker.open_epochs()),
+        len(h.l1_guard._pending),
+    )
+
+
+def stats_fingerprint(core: Core) -> tuple:
+    """Comparable snapshot of every stats bag and defense counter a round
+    can mutate, plus the round's divider occupancy (which the wrong path
+    changes only through the divider: its issue gate at the squash point
+    shows nowhere else)."""
+    h = core.hierarchy
+    bags = (h.l1.stats, h.l2.stats, h.dram.stats, h.mshr.stats, core.predictor.stats)
+    out = [
+        tuple(getattr(bag, name) for name in names)
+        for bag, names in zip(bags, _BAG_FIELDS)
+    ]
+    for defense in _defense_chain(core.defense):
+        names = _DEFENSE_COUNTERS + _FAMILY_COUNTERS.get(type(defense), ())
+        out.append(tuple(getattr(defense, name) for name in names))
+    fu = core.fu_pool
+    out.append((fu.div_issues, fu.div_contended, fu.div_busy_until))
+    return tuple(out)
 
 
 def _squash_key(event) -> tuple:
@@ -136,8 +258,15 @@ def _round_record(core, obs, result, latency, emitted_before) -> dict:
         "registry": json.dumps(obs.registry.to_dict(), sort_keys=True, default=str),
         "machine": machine_fingerprint(core),
         "stats": stats_fingerprint(core),
-        "mode": dict(getattr(core, "last_round_info", ())) or {"mode": "scalar"},
     }
+
+
+def pin_round(record: dict) -> dict:
+    """The golden pin of one round record."""
+    pin = {name: record[name] for name in TIMING_FIELDS}
+    hashed = repr(tuple(record[name] for name in HASHED_FIELDS))
+    pin["sha256"] = hashlib.sha256(hashed.encode()).hexdigest()
+    return pin
 
 
 def _system_config(config: Optional[dict]) -> SystemConfig:
@@ -157,46 +286,19 @@ def _system_config(config: Optional[dict]) -> SystemConfig:
     )
 
 
-def run_case(case: dict, backend: str, stop_after: Optional[int] = None,
-             timeline_round: Optional[int] = None) -> List[dict]:
-    """Execute ``case`` under ``backend``; one record per round.
-
-    ``timeline_round`` additionally records a per-instruction timeline for
-    that round (stored under ``"timeline"``); on the batched backend this
-    forces the round down the scalar path, so it is only used by the
-    divergence report, never while comparing.
-    """
+def run_case(case: dict) -> List[dict]:
+    """Execute ``case``; one round record per round."""
     obs = Observability(trace_level="squash")
     previous = set_default_obs(obs)
     try:
-        with use_backend(backend):
-            if case.get("mode", "attack") == "attack":
-                rows = _run_attack_case(case, obs, stop_after, timeline_round)
-            else:
-                rows = _run_program_case(case, obs, stop_after, timeline_round)
+        if case.get("mode", "attack") == "attack":
+            return _run_attack_case(case, obs)
+        return _run_program_case(case, obs)
     finally:
         set_default_obs(previous)
-    return rows
 
 
-def _capture(core, obs, runner, index, stop_after, timeline_round, rows):
-    emitted_before = obs.trace.emitted
-    if timeline_round is not None and index == timeline_round:
-        core.record_timeline = True
-        try:
-            latency, result = runner()
-        finally:
-            core.record_timeline = False
-        row = _round_record(core, obs, result, latency, emitted_before)
-        row["timeline"] = tuple(str(t) for t in result.timeline)
-    else:
-        latency, result = runner()
-        row = _round_record(core, obs, result, latency, emitted_before)
-    rows.append(row)
-    return stop_after is not None and len(rows) > stop_after
-
-
-def _run_attack_case(case, obs, stop_after, timeline_round) -> List[dict]:
+def _run_attack_case(case, obs) -> List[dict]:
     attack = UnxpecAttack(
         params=GadgetParams(n_loads=case.get("n_loads", 1)),
         use_eviction_sets=case.get("use_eviction_sets", False),
@@ -206,107 +308,35 @@ def _run_attack_case(case, obs, stop_after, timeline_round) -> List[dict]:
     )
     attack.prepare()
     rows: List[dict] = []
-    for index, bit in enumerate(case["bits"]):
+    for bit in case["bits"]:
         # UnxpecAttack.sample discards the RunResult; take the same steps
         # it takes so both the sample latency and the raw result are
-        # visible to the differ.
-        def runner(bit=bit):
-            attack.gadget.set_secret(attack.hierarchy.dram, bit)
-            result = attack.core.run(attack._round_program)
-            sample = attack._extract(bit, result)
-            return sample.latency, result
-
-        if _capture(attack.core, obs, runner, index, stop_after,
-                    timeline_round, rows):
-            break
+        # visible to the record.
+        emitted_before = obs.trace.emitted
+        attack.gadget.set_secret(attack.hierarchy.dram, bit)
+        result = attack.core.run(attack._round_program)
+        latency = attack._extract(bit, result).latency
+        rows.append(_round_record(attack.core, obs, result, latency, emitted_before))
     return rows
 
 
-def _run_program_case(case, obs, stop_after, timeline_round) -> List[dict]:
-    from repro.cpu.backend import make_core
-
+def _run_program_case(case, obs) -> List[dict]:
     program = build_program(case["program"])
     hierarchy = CacheHierarchy(
         config=_system_config(case.get("config")), seed=case.get("seed", 0)
     )
     defense = _DEFENSES[case.get("defense", "cleanup")](hierarchy)
-    core = make_core(hierarchy, defense, config=hierarchy.config.core)
+    core = Core(hierarchy, defense, config=hierarchy.config.core)
     pokes = case.get("pokes", ())
     rows: List[dict] = []
     for index in range(case.get("rounds", 4)):
         if index < len(pokes):
             for addr, value in pokes[index]:
                 hierarchy.dram.poke(addr, value)
-
-        def runner():
-            result = core.run(program, max_instructions=10_000)
-            return result.cycles, result
-
-        if _capture(core, obs, runner, index, stop_after, timeline_round, rows):
-            break
+        emitted_before = obs.trace.emitted
+        result = core.run(program, max_instructions=10_000)
+        rows.append(_round_record(core, obs, result, result.cycles, emitted_before))
     return rows
-
-
-def first_divergence(scalar_rows, batched_rows) -> Optional[Tuple[int, str]]:
-    """First (round, field) where the two backends disagree, else None."""
-    for index, (a, b) in enumerate(zip(scalar_rows, batched_rows)):
-        for name in ROUND_FIELDS:
-            if a[name] != b[name]:
-                return index, name
-    if len(scalar_rows) != len(batched_rows):
-        return min(len(scalar_rows), len(batched_rows)), "rounds"
-    return None
-
-
-def divergence_report(case: dict, scalar_rows, batched_rows) -> str:
-    """Shrink a mismatch to its first divergent round, with both backends'
-    per-instruction event logs for exactly that round."""
-    where = first_divergence(scalar_rows, batched_rows)
-    if where is None:
-        return "no divergence"
-    index, field = where
-    lines = [
-        f"case {case.get('name', '<anonymous>')!r}: first divergence at "
-        f"round {index}, field {field!r}",
-        "",
-    ]
-    a = scalar_rows[index] if index < len(scalar_rows) else None
-    b = batched_rows[index] if index < len(batched_rows) else None
-    for label, row in (("scalar", a), ("batched", b)):
-        if row is None:
-            lines.append(f"--- {label}: no round {index} (ended early)")
-            continue
-        lines.append(f"--- {label} round {index} "
-                     f"(mode={row['mode'].get('mode', 'scalar')}):")
-        for name in ROUND_FIELDS:
-            marker = "  *" if a is not None and b is not None and a[name] != b[name] else "   "
-            lines.append(f"{marker} {name} = {_short(row[name])}")
-        lines.append("    squash-level events:")
-        for cycle, kind, data in row["trace"]:
-            lines.append(f"      [{cycle}] {kind} {data}")
-    # Per-instruction timeline of the divergent round, re-executed on the
-    # always-correct scalar backend (the reference semantics).
-    reference = run_case(case, "scalar", stop_after=index, timeline_round=index)
-    if reference and "timeline" in reference[-1]:
-        lines.append("")
-        lines.append(f"--- scalar per-instruction timeline, round {index}:")
-        for entry in reference[-1]["timeline"]:
-            lines.append(f"    {entry}")
-    return "\n".join(lines)
-
-
-def _short(value, limit: int = 400) -> str:
-    text = repr(value)
-    return text if len(text) <= limit else text[: limit - 12] + f"...(+{len(text) - limit})"
-
-
-def compare_case(case: dict, rounds: Optional[int] = None) -> Optional[str]:
-    """Run ``case`` under both backends; a divergence report, or None."""
-    scalar_rows = run_case(case, "scalar", stop_after=rounds)
-    batched_rows = run_case(case, "batched", stop_after=rounds)
-    if first_divergence(scalar_rows, batched_rows) is None:
-        return None
-    return divergence_report(case, scalar_rows, batched_rows)
 
 
 def load_corpus() -> List[dict]:

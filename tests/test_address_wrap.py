@@ -5,8 +5,7 @@ A Hypothesis run found ``opi sub r2, r1, 1; load r1, r2, 0`` with
 0xffffffffffffffc0`` — a computed negative effective address reached
 DRAM unmasked.  The machine now wraps every effective address to the
 DRAM address space (``Dram.size_bytes``, a power of two) at the
-core/hierarchy boundary — committed and wrong paths, identical on both
-backends — and the specct static analyzer and dynamic interpreter fold
+core/hierarchy boundary — committed and wrong paths — and the specct static analyzer and dynamic interpreter fold
 constants through the same mask.  ``MemoryError_`` remains for
 host-level misuse (``poke``/``peek`` of an address that cannot exist).
 """
@@ -25,7 +24,7 @@ from repro.cpu import Core
 from repro.defense.cleanupspec import CleanupSpec
 from repro.isa import ProgramBuilder
 from repro.memory.dram import Dram
-from tests.differential.harness import compare_case, load_corpus
+from tests.differential.harness import load_corpus, run_case
 
 #: The shrunk falsifying example, verbatim: r1 starts at 0, so the load's
 #: effective address is -64 (r2 = -1, line-aligned) before masking.
@@ -51,9 +50,15 @@ PINNED_CASE = {
 
 
 class TestCoreWrap:
-    def test_pinned_falsifying_example_runs_on_both_backends(self):
-        report = compare_case(PINNED_CASE)
-        assert report is None, f"pinned wild-addr case diverged:\n{report}"
+    def test_pinned_falsifying_example_runs(self):
+        records = run_case(PINNED_CASE)
+        # Round 0 misses to memory at the wrapped address; later rounds hit.
+        assert [r["cycles"] for r in records] == [123, 3, 3, 3]
+        assert all(r["instructions"] == 3 for r in records)
+        for r in records:
+            registers = dict(r["registers"])
+            assert registers["r2"] == (1 << 64) - 1
+            assert registers["r1"] == 0
 
     def test_wild_addr_corpus_case_is_checked_in(self):
         names = {case["name"] for case in load_corpus()}

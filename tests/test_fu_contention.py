@@ -184,8 +184,8 @@ class TestWrongPathDrawParity:
     The delay-on-miss wrong path never issues a MEM miss downstream, but
     it must still consume the jitter draw the install/shadow families
     make for that access — otherwise the shared noise stream desyncs
-    across families and per-family results stop being comparable (and
-    the batched backend's draw-count guard would demote one family).
+    across families and per-family results stop being comparable: a seed
+    must give every family the same noise.
     """
 
     FAMILIES = ("unsafe", "cleanupspec", "delay_on_miss", "safespec", "cachesquash")
@@ -246,22 +246,15 @@ class TestRewindChannel:
         attack.prepare()
         assert attack.sample(0).latency == attack.sample(1).latency
 
-    def test_scalar_and_batched_agree(self):
-        from repro.cpu.backend import use_backend
-
-        def samples():
-            attack = RewindAttack(seed=0)
-            attack.prepare()
-            return [
-                (s.secret, s.latency, s.stall)
-                for bit in (0, 1, 0, 1)
-                for s in [attack.sample(bit)]
-            ]
-
-        scalar = samples()
-        with use_backend("batched"):
-            batched = samples()
-        assert scalar == batched
+    def test_repeated_rounds_reproduce_their_samples(self):
+        attack = RewindAttack(seed=0)
+        attack.prepare()
+        samples = [
+            (s.secret, s.latency, s.stall)
+            for bit in (0, 1, 0, 1)
+            for s in [attack.sample(bit)]
+        ]
+        assert samples == [(0, 61, 0), (1, 46, 26), (0, 61, 0), (1, 46, 26)]
 
 
 class TestInterferenceChannel:
