@@ -21,9 +21,9 @@ bench-core:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_core.py -q
 	@$(PYTHON) -c "import json; d = json.load(open('BENCH_core.json')); \
 	    m, s = d['measured'], d['speedup_vs_seed']; \
-	    print('bench-core: %.3f ms/round (%.2fx vs seed), %.0f inst/s (%.2fx)' % \
+	    print('bench-core: %.3f ms/round (%.2fx vs seed), %.0f inst/s (%.2fx), unsafe %.0f inst/s' % \
 	    (m['fig3_round_ms'], s['fig3_round_normalized'], \
-	     m['synthetic_ips'], s['synthetic_ips_normalized']))"
+	     m['synthetic_ips'], s['synthetic_ips_normalized'], m['synthetic_unsafe_ips']))"
 
 experiments:
 	$(PYTHON) -m repro.experiments all

@@ -4,7 +4,9 @@ Run via ``make bench-core`` (plain pytest, no pytest-benchmark): it times
 
 * one fig3-style attack round (prepare once, then steady-state samples),
 * one two-context interference round, and
-* synthetic SPEC-profile workload execution (gcc_r, 20k instructions),
+* synthetic SPEC-profile workload execution (gcc_r, 20k instructions)
+  under CleanupSpec and under the unsafe baseline (whose squashes commit
+  the window's speculative marks instead of rolling them back),
 
 normalizes everything against a pure-Python calibration loop shared
 session-wide (see ``benchmarks/conftest.py`` — one denominator, so the
@@ -80,11 +82,12 @@ def interference_round_seconds(rounds: int = 20, repeats: int = 5) -> float:
     return best
 
 
-def synthetic_ips(instructions: int = 20_000, repeats: int = 5):
-    """Best-of-N committed instructions per second on a gcc_r workload."""
+def synthetic_ips(defense: str = "cleanupspec", instructions: int = 20_000, repeats: int = 5):
+    """Best-of-N committed instructions per second on a gcc_r workload,
+    one fresh machine per repeat, under the registered ``defense``."""
     from repro.cache import CacheHierarchy
     from repro.cpu import Core
-    from repro.defense import CleanupSpec
+    from repro.defense import make_defense
     from repro.workloads import get_profile, synthesize
 
     workload = synthesize(get_profile("gcc_r"), instructions=instructions, seed=0)
@@ -92,7 +95,7 @@ def synthetic_ips(instructions: int = 20_000, repeats: int = 5):
     committed = 0
     for _ in range(repeats):
         hierarchy = CacheHierarchy(seed=0)
-        core = Core(hierarchy, CleanupSpec(hierarchy))
+        core = Core(hierarchy, make_defense(defense, hierarchy))
         t0 = time.perf_counter()
         result = core.run(workload.program)
         best = min(best, time.perf_counter() - t0)
@@ -107,6 +110,8 @@ def measure(cal: BenchCalibration) -> dict:
     cal.refresh()
     ips, committed = synthetic_ips()
     seconds = cal.refresh()
+    unsafe_ips, _ = synthetic_ips("unsafe")
+    unsafe_seconds = cal.refresh()
     return {
         "calibration_s": seconds,
         "fig3_round_ms": round_s * 1e3,
@@ -116,6 +121,8 @@ def measure(cal: BenchCalibration) -> dict:
         "synthetic_ips": ips,
         "synthetic_instructions": committed,
         "synthetic_ips_normalized": ips * seconds,
+        "synthetic_unsafe_ips": unsafe_ips,
+        "synthetic_unsafe_ips_normalized": unsafe_ips * unsafe_seconds,
     }
 
 
@@ -153,6 +160,14 @@ def test_bench_core_and_gate(bench_calibration):
             f"BENCH_core.json: {measured['synthetic_ips_normalized']:.1f} < "
             f"{floor:.1f} (baseline {baseline['synthetic_ips_normalized']:.1f})"
         )
+        if "synthetic_unsafe_ips_normalized" in baseline:
+            floor = baseline["synthetic_unsafe_ips_normalized"] / REGRESSION_FACTOR
+            assert measured["synthetic_unsafe_ips_normalized"] >= floor, (
+                "unsafe-baseline synthetic throughput regressed >25% vs "
+                f"committed BENCH_core.json: "
+                f"{measured['synthetic_unsafe_ips_normalized']:.1f} < {floor:.1f} "
+                f"(baseline {baseline['synthetic_unsafe_ips_normalized']:.1f})"
+            )
         if "interference_round_normalized" in baseline:
             limit = baseline["interference_round_normalized"] * REGRESSION_FACTOR
             assert measured["interference_round_normalized"] <= limit, (

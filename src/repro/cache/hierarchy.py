@@ -424,10 +424,23 @@ class CacheHierarchy:
     def commit_epoch(self, epoch: int) -> EpochDelta:
         """Window resolved correct: clear speculative marks, keep state."""
         delta = self.tracker.close_epoch(epoch)
-        self.l1.commit_epoch(epoch)
-        self.l2.commit_epoch(epoch)
+        self.commit_delta(delta)
         self.l1_guard.resolve_window(self._l1_lines_by_addr(), cycle=0)
         return delta
+
+    def commit_delta(self, delta: EpochDelta) -> int:
+        """Clear the speculative marks ``delta``'s window left; count them.
+
+        Only :meth:`_install_l1` and :meth:`_install_l2` install lines
+        speculatively, and both record the install in the tracker, so every
+        line still marked with ``delta.epoch`` is one of ``delta.installs``:
+        looking those up touches exactly the lines a scan of every way
+        would clear.
+        """
+        epoch = delta.epoch
+        l1 = self.l1.commit_epoch(epoch, [i.line_addr for i in delta.installs_at("L1")])
+        l2 = self.l2.commit_epoch(epoch, [i.line_addr for i in delta.installs_at("L2")])
+        return l1 + l2
 
     def squash_epoch_delta(self, epoch: int) -> EpochDelta:
         """Window mis-speculated: hand the delta to the defense.

@@ -11,12 +11,31 @@ gives the same security-relevant behaviour at this abstraction level).
 Remapping (CEASER's periodic key change) is supported via :meth:`rekey`,
 which changes the permutation; the cache using the mapper is responsible for
 flushing itself on rekey (our model rekeys only between experiments).
+
+The permutation is a pure function of ``(key, bits, rounds)``, so the
+line-number -> set-index memo that caches build on top of it is shared
+process-wide between caches of the same set count and mapping (see
+:meth:`RandomizedIndexing.set_index_memo`): every fresh machine with a given
+seed reuses the indices the previous one computed. The memo is keyed by the
+CEASER key, so a rekeyed mapper gets its own memo and never reads stale
+indices.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Dict, Tuple
+
+#: Most shared set-index memos kept at once (least recently handed out is
+#: dropped first); a full quick campaign uses 9 keys.
+MEMO_KEYS = 16
+#: Most line numbers one shared memo holds; lines beyond it are computed
+#: without being stored. A full quick campaign touches ~2.4k lines.
+MEMO_LINES = 1 << 14
+
+_memos: "OrderedDict[Tuple[int, int, int, int], Dict[int, int]]" = OrderedDict()
 
 
 def _feistel_round(value: int, key: int, round_index: int, half_bits: int) -> int:
@@ -84,6 +103,22 @@ class RandomizedIndexing:
             left = left_x ^ f
             value = ((left << half) | right) & ((1 << self.bits) - 1)
         return value
+
+    def set_index_memo(self, sets: int) -> Dict[int, int]:
+        """The process-wide ``line_number -> set index`` memo for ``sets`` sets.
+
+        Caches with the same set count and the same ``(key, bits, rounds)``
+        get the same dict. Callers store at most :data:`MEMO_LINES` entries.
+        """
+        memo_key = (self.key, self.bits, self.rounds, sets)
+        memo = _memos.get(memo_key)
+        if memo is None:
+            memo = _memos[memo_key] = {}
+            if len(_memos) > MEMO_KEYS:
+                _memos.popitem(last=False)
+        else:
+            _memos.move_to_end(memo_key)
+        return memo
 
     def rekey(self, new_key: int) -> "RandomizedIndexing":
         """Return a mapper with a fresh key (CEASER remap epoch)."""

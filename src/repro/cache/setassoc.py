@@ -13,12 +13,12 @@ replacement policy's ``allowed_ways`` (NoMo partition, used for the L1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..common.config import CacheGeometry
 from ..memory.address import AddressMapper
 from .line import CacheLine, CoherenceState
-from .randomized import RandomizedIndexing
+from .randomized import MEMO_LINES, RandomizedIndexing
 from .replacement import ReplacementPolicy
 
 
@@ -64,14 +64,17 @@ class SetAssociativeCache:
         ]
         self.stats = CacheStats()
         # Hot-path precomputes: line/set masks, the (expensive, pure)
-        # randomized set-index function memoized per line number, and an
-        # exact line_addr -> (set_index, way) residency map so lookups are
-        # O(1) instead of a way scan.
+        # randomized set-index function memoized per line number in a memo
+        # shared by every cache with this mapping, and an exact
+        # line_addr -> (set_index, way) residency map so lookups are O(1)
+        # instead of a way scan.
         self._offset_bits = geometry.offset_bits
         self._line_mask = ~(geometry.line_size - 1)
         self._set_mask = geometry.sets - 1
         self._rand_mask = (1 << randomizer.bits) - 1 if randomizer is not None else 0
-        self._set_index_cache: dict = {}
+        self._set_index_memo: Optional[Dict[int, int]] = (
+            randomizer.set_index_memo(geometry.sets) if randomizer is not None else None
+        )
         self._where: dict = {}
 
     # -- indexing ---------------------------------------------------------------
@@ -81,17 +84,18 @@ class SetAssociativeCache:
 
         The randomized (CEASER-like Feistel) mapping is a pure function of
         the line number, so it is memoized: experiment working sets touch a
-        bounded set of lines but access each one thousands of times.
+        bounded set of lines but access each one thousands of times, on
+        many fresh machines with the same key.
         """
         line_number = addr >> self._offset_bits
-        cached = self._set_index_cache.get(line_number)
+        memo = self._set_index_memo
+        if memo is None:
+            return line_number & self._set_mask
+        cached = memo.get(line_number)
         if cached is None:
-            if self.randomizer is not None:
-                permuted = self.randomizer.permute(line_number & self._rand_mask)
-            else:
-                permuted = line_number
-            cached = permuted & self._set_mask
-            self._set_index_cache[line_number] = cached
+            cached = self.randomizer.permute(line_number & self._rand_mask) & self._set_mask
+            if len(memo) < MEMO_LINES:
+                memo[line_number] = cached
         return cached
 
     def line_addr_of(self, addr: int) -> int:
@@ -239,14 +243,19 @@ class SetAssociativeCache:
 
     # -- maintenance ---------------------------------------------------------------
 
-    def commit_epoch(self, epoch: int) -> int:
-        """Clear speculative marks of ``epoch`` (window committed); count them."""
+    def commit_epoch(self, epoch: int, line_addrs: Iterable[int]) -> int:
+        """Clear ``epoch``'s speculative marks (window committed); count them.
+
+        ``line_addrs`` are the lines the epoch installed at this level; only
+        those still resident and still marked with ``epoch`` are cleared, so
+        the cost follows the window's footprint, not the cache size.
+        """
         cleared = 0
-        for ways in self._sets:
-            for line in ways:
-                if line is not None and line.speculative and line.epoch == epoch:
-                    line.commit()
-                    cleared += 1
+        for line_addr in line_addrs:
+            line = self.get_line(line_addr)
+            if line is not None and line.speculative and line.epoch == epoch:
+                line.commit()
+                cleared += 1
         return cleared
 
     def speculative_lines(self, epoch: Optional[int] = None) -> List[CacheLine]:

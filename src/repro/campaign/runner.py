@@ -92,6 +92,12 @@ class _TaskResult:
     #: (attempt, error repr) per transient failure that was retried, in
     #: attempt order — lets the parent emit task.retry events post-hoc.
     retry_errors: list = field(default_factory=list)
+    #: Worker-side ``time.monotonic()`` stamps around every attempt of the
+    #: task (the clock is system-wide, so stamps from different workers
+    #: compare); an experiment's wall time is its last end minus its
+    #: first start.
+    started: float = 0.0
+    ended: float = 0.0
 
 
 @dataclass
@@ -107,6 +113,9 @@ class TaskFailure:
     seconds: float = 0.0
     spans: list = field(default_factory=list)
     retry_errors: list = field(default_factory=list)
+    #: As on :class:`_TaskResult`; 0.0 for a task whose result was lost.
+    started: float = 0.0
+    ended: float = 0.0
 
 
 @dataclass
@@ -131,7 +140,7 @@ class ExperimentOutcome:
 
     @property
     def speedup(self) -> float:
-        """Worker-time / parent-wall-time ratio (>1 means shards overlapped).
+        """Worker-time / wall-time ratio (>1 means shards overlapped).
 
         Cached outcomes report 1.0: their ``wall_seconds`` is the cache
         *load* time, so the raw ratio would be meaninglessly huge.
@@ -227,6 +236,7 @@ def _execute_task(task: TaskSpec) -> Union[_TaskResult, TaskFailure]:
     )
     retry_errors: list = []
     started = time.perf_counter()
+    stamp = time.monotonic()
     attempt = 0
     while True:
         attempt += 1
@@ -237,6 +247,7 @@ def _execute_task(task: TaskSpec) -> Union[_TaskResult, TaskFailure]:
             shard_span.finish("ok")
             result.spans = recorder.to_dicts()
             result.retry_errors = retry_errors
+            result.started, result.ended = stamp, time.monotonic()
             return result
         except Exception as exc:
             kind = failure_kind(exc)
@@ -255,6 +266,8 @@ def _execute_task(task: TaskSpec) -> Union[_TaskResult, TaskFailure]:
                 attempts=attempt,
                 seconds=time.perf_counter() - started,
                 retry_errors=retry_errors,
+                started=stamp,
+                ended=time.monotonic(),
             )
             if attempt > task.retries or not is_transient(exc):
                 shard_span.finish("error")
@@ -448,10 +461,11 @@ class CampaignRunner:
     ) -> List[ExperimentOutcome]:
         """Run ``ids`` (default: every registered experiment).
 
-        ``profiler`` (a :class:`repro.obs.Profiler`) receives the
-        *parent-observed* per-experiment wall-clock under
-        ``experiment.<id>`` — correct even when shards ran in workers,
-        where process-local profilers cannot see the time.
+        ``profiler`` (a :class:`repro.obs.Profiler`) receives each
+        experiment's wall time under ``experiment.<id>``: from its first
+        task's start to its last task's end, stamped in the workers (where
+        process-local profilers cannot see the time), so time spent queued
+        in the pool does not count.
 
         Never raises on worker failure: a failed experiment surfaces as
         an outcome with ``failed=True`` (error + traceback attached) and
@@ -542,7 +556,6 @@ class CampaignRunner:
         done: Dict[str, List[Union[_TaskResult, TaskFailure]]] = {
             exp_id: [] for exp_id in plans
         }
-        starts: Dict[str, float] = {}
 
         lookup_status = "miss" if self.cache is not None else None
 
@@ -554,7 +567,14 @@ class CampaignRunner:
                 key=lambda t: t.shard_index,
             )
             n_retries = sum(max(0, t.attempts - 1) for t in results)
-            wall = time.perf_counter() - starts[exp_id]
+            # Worker-side stamps, so time spent queued behind other
+            # experiments' tasks in the pool is not counted as this one's.
+            stamped = [t for t in results if t.ended]
+            wall = (
+                max(t.ended for t in stamped) - min(t.started for t in stamped)
+                if stamped
+                else 0.0
+            )
             worker = sum(t.seconds for t in results)
             all_spans = [
                 span
@@ -676,7 +696,6 @@ class CampaignRunner:
 
         if self.jobs == 1 or len(tasks) <= 1:
             for task in tasks:
-                starts.setdefault(task.experiment_id, time.perf_counter())
                 events.emit(
                     "task.start",
                     experiment=task.experiment_id,
@@ -684,9 +703,6 @@ class CampaignRunner:
                 )
                 absorb(_execute_task(task))
         else:
-            submit = time.perf_counter()
-            for exp_id in plans:
-                starts[exp_id] = submit
             remaining = {
                 (task.experiment_id, task.shard_index): task for task in tasks
             }

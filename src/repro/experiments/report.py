@@ -62,9 +62,9 @@ def render_markdown(
 ) -> str:
     """Render a combined markdown report.
 
-    ``timings`` (``{experiment_id: seconds}``, parent-observed wall clock)
-    adds a time column to the summary matrix; campaign runs additionally
-    pass ``speedups`` (worker-seconds / parent-wall ratio) and
+    ``timings`` (``{experiment_id: seconds}``, wall clock) adds a time
+    column to the summary matrix; campaign runs additionally pass
+    ``speedups`` (worker-seconds / wall-seconds ratio) and
     ``cache_hits`` for their own columns.  ``failures`` maps experiment
     ids whose campaign execution failed to ``(error, traceback)`` pairs;
     those rows render as **FAILED** and the tracebacks land in a
@@ -159,8 +159,9 @@ def write_report(
     With a :class:`~repro.campaign.CampaignRunner` as ``runner``, the
     experiments execute through the campaign engine (sharded, cached) and
     the summary matrix gains speedup and cache-hit columns.  Timings are
-    parent-observed wall clock either way — a campaign worker's
-    process-local profiler cannot be read from here.
+    wall clock either way; under the campaign engine they come from the
+    runner's worker-side stamps (a campaign worker's process-local
+    profiler cannot be read from here).
     """
     profiler = profiler if profiler is not None else Profiler()
     started = time.perf_counter()

@@ -108,9 +108,18 @@ class TestSpeculativeMarks:
     def test_commit_epoch(self):
         c = make_cache()
         c.install(0x40, 0, speculative=True, epoch=1)
-        cleared = c.commit_epoch(1)
+        cleared = c.commit_epoch(1, [0x40])
         assert cleared == 1
         assert c.speculative_lines() == []
+
+    def test_commit_epoch_touches_only_its_epoch_and_addresses(self):
+        c = make_cache()
+        c.install(0x40, 0, speculative=True, epoch=1)
+        c.install(0x80, 0, speculative=True, epoch=1)  # not in the address list
+        c.install(0xC0, 0, speculative=True, epoch=2)  # listed, other epoch
+        assert c.commit_epoch(1, [0x40, 0xC0, 0x40, 0x100]) == 1
+        assert {l.line_addr for l in c.speculative_lines(epoch=1)} == {0x80}
+        assert {l.line_addr for l in c.speculative_lines(epoch=2)} == {0xC0}
 
     def test_clear(self):
         c = make_cache()

@@ -1,8 +1,9 @@
 """Unit tests for the campaign engine's pieces: snapshot merging, cache
-keys, outcome plumbing, and the report's parent-side timing columns."""
+keys, outcome plumbing, and the report's timing columns."""
 
 import json
 import math
+import time
 
 
 from repro.campaign import (
@@ -14,7 +15,8 @@ from repro.campaign import (
     merge_trace_meta,
     snapshot_with_kinds,
 )
-from repro.experiments.base import ExperimentResult
+from repro.experiments import registry
+from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.report import experiment_timings, render_markdown, write_report
 from repro.obs import Profiler, StatRegistry
 
@@ -122,9 +124,22 @@ class TestResultCacheUnit:
         assert hydrated.to_json() == result.to_json()
 
 
+class _SleepExperiment(Experiment):
+    """Does nothing but sleep ``seconds``; registered only inside a test."""
+
+    seconds = 0.0
+
+    def run(self, quick: bool = False, seed: int = 0) -> ExperimentResult:
+        time.sleep(self.seconds)
+        result = self.new_result()
+        result.check("slept", True, f"{self.seconds}s")
+        return result
+
+
 class TestParentSideTimings:
-    """The report's time column must come from the parent's clock: worker
-    Profiler phases are process-local and invisible after the fork."""
+    """The report's time column must come from the runner: worker Profiler
+    phases are process-local and invisible after the fork, so the runner
+    ships worker-side start/end stamps back with every task result."""
 
     IDS = ["fig1", "table1"]
 
@@ -136,6 +151,25 @@ class TestParentSideTimings:
             assert exp_id in timings, exp_id
             assert timings[exp_id] > 0.0
             assert profiler.calls(f"experiment.{exp_id}") == 1
+
+    def test_queued_experiment_reports_its_own_duration(self, monkeypatch):
+        # Two slow experiments occupy both workers; the fast one waits
+        # ~1 s in the pool queue and must not count that wait as its time.
+        durations = {"slow_a": 1.0, "slow_b": 1.0, "fast": 0.05}
+        for exp_id, seconds in durations.items():
+            cls = type(exp_id, (_SleepExperiment,), {"id": exp_id, "seconds": seconds})
+            monkeypatch.setitem(registry._REGISTRY, exp_id, cls)
+        profiler = Profiler()
+        outcomes = CampaignRunner(jobs=2).run(
+            ids=list(durations), quick=True, seed=0, profiler=profiler
+        )
+        by_id = {o.experiment_id: o for o in outcomes}
+        assert not any(o.failed for o in outcomes)
+        assert 0.05 <= by_id["fast"].wall_seconds < 0.5
+        assert experiment_timings(profiler)["fast"] == by_id["fast"].wall_seconds
+        for exp_id in ("slow_a", "slow_b"):
+            assert by_id[exp_id].wall_seconds >= 1.0
+            assert by_id[exp_id].speedup <= 1.0
 
     def test_write_report_with_runner_emits_campaign_columns(self, tmp_path):
         out = tmp_path / "R.md"
