@@ -1,10 +1,10 @@
 """Observability overhead benchmarks.
 
-The acceptance bar for `repro.obs`: stats + tracing at the default trace
-level must add < 15% wall-clock to a default `Core.run` on the synthetic
-workload the micro-benchmarks use. These benchmarks time the instrumented
-run at every trace level next to the bare run, and one plain (non-timed)
-test asserts the bound directly on min-of-N measurements.
+The acceptance bar for `repro.obs`: an attached `Observability()` (the
+stat registry and profiler) must add < 15% wall-clock to a default
+`Core.run` on the synthetic workload the micro-benchmarks use. These
+benchmarks time the instrumented run next to the bare run, and one plain
+(non-timed) test asserts the bound directly on min-of-N measurements.
 """
 
 import time
@@ -25,8 +25,8 @@ def _run_bare(program):
     return Core(h, CleanupSpec(h)).run(program, max_instructions=10_000_000)
 
 
-def _run_observed(program, level):
-    obs = Observability(trace_level=level)
+def _run_observed(program):
+    obs = Observability()
     h = CacheHierarchy(seed=0, obs=obs)
     core = Core(h, CleanupSpec(h), obs=obs)
     return core.run(program, max_instructions=10_000_000)
@@ -38,32 +38,14 @@ def test_workload_bare(benchmark):
     assert result.stats is None
 
 
-def test_workload_obs_squash(benchmark):
+def test_workload_observed(benchmark):
     program = _workload().program
-    result = benchmark.pedantic(
-        lambda: _run_observed(program, "squash"), rounds=3, iterations=1
-    )
-    assert result.stats is not None
-
-
-def test_workload_obs_commit(benchmark):
-    program = _workload().program
-    result = benchmark.pedantic(
-        lambda: _run_observed(program, "commit"), rounds=3, iterations=1
-    )
+    result = benchmark.pedantic(lambda: _run_observed(program), rounds=3, iterations=1)
     assert result.stats["core"]["instructions"] == result.instructions
 
 
-def test_workload_obs_full(benchmark):
-    program = _workload().program
-    result = benchmark.pedantic(
-        lambda: _run_observed(program, "full"), rounds=3, iterations=1
-    )
-    assert result.stats is not None
-
-
-def test_default_level_overhead_under_budget():
-    """Default-level instrumentation stays under the 15% wall-clock bar.
+def test_observed_overhead_under_budget():
+    """Instrumentation stays under the 15% wall-clock bar.
 
     Min-of-N is robust to scheduler noise: the fastest observed run is the
     closest estimate of the true cost on a busy machine.
@@ -78,14 +60,14 @@ def test_default_level_overhead_under_budget():
     # warm up once each so neither side pays first-call cache cost, then
     # alternate measurements so both sides see the same machine conditions
     _run_bare(program)
-    _run_observed(program, "commit")
+    _run_observed(program)
     bare = observed = float("inf")
     for _ in range(20):
         bare = min(bare, timed(lambda: _run_bare(program)))
-        observed = min(observed, timed(lambda: _run_observed(program, "commit")))
+        observed = min(observed, timed(lambda: _run_observed(program)))
 
     overhead = observed / bare - 1.0
-    assert overhead < 0.15, f"default-level obs overhead {overhead:.1%} >= 15%"
+    assert overhead < 0.15, f"obs overhead {overhead:.1%} >= 15%"
 
 
 def _run_campaign(spans):
@@ -103,7 +85,7 @@ def test_campaign_spans_overhead_under_budget():
     Spans are task-granularity (a handful of nodes per shard, stamped
     with one perf_counter pair each), so their cost should be noise next
     to the simulated work; this pins that.  Same min-of-N alternating
-    protocol as the trace-level guard above.
+    protocol as the core-run guard above.
     """
     _run_campaign(spans=False)
     _run_campaign(spans=True)

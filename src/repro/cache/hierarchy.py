@@ -126,10 +126,6 @@ class CacheHierarchy:
             miss_latency=self.latency.memory_total, hit_latency=self.latency.l1_hit
         )
         self.obs: Optional[Observability] = None
-        #: Hot-path cache of ``obs.trace`` when full-level events are on
-        #: (None otherwise) — checked once per access instead of two
-        #: attribute hops plus a flag test.
-        self._trace_full = None
         self.attach_obs(obs if obs is not None else get_default_obs())
 
     # ------------------------------------------------------------------
@@ -137,11 +133,10 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
 
     def attach_obs(self, obs: Optional[Observability]) -> None:
-        """Report stats/events through ``obs`` (idempotent once attached)."""
+        """Report stats through ``obs`` (idempotent once attached)."""
         if obs is None or self.obs is not None:
             return
         self.obs = obs
-        self._trace_full = obs.trace if obs.trace.full_events else None
         reg = obs.registry
         self.l1.register_stats(reg, "l1d")
         self.l2.register_stats(reg, "l2")
@@ -170,14 +165,11 @@ class CacheHierarchy:
         if speculative and epoch is None:
             raise ConfigError("speculative access requires an epoch")
         self.mshr.retire_completed(cycle)
-        trace = self._trace_full
 
         line1 = self.l1.lookup(addr, cycle)
         if line1 is not None:
             if is_write:
                 line1.write(cycle)
-            if trace is not None:
-                trace.emit(cycle, "cache.hit", (self.l1.line_addr_of(addr), "L1"))
             return AccessResult(
                 addr=addr,
                 latency=self.latency.l1_hit,
@@ -192,13 +184,9 @@ class CacheHierarchy:
         if line2 is not None:
             latency = self.latency.l2_total
             level = "L2"
-            if trace is not None:
-                trace.emit(cycle, "cache.hit", (self.l2.line_addr_of(addr), "L2"))
         else:
             latency = self.latency.memory_total
             level = "MEM"
-            if trace is not None:
-                trace.emit(cycle, "cache.miss", (self.l2.line_addr_of(addr), "MEM"))
             self.dram.read_word(self.l2.line_addr_of(addr))
             ev2 = self._install_l2(addr, cycle, speculative, epoch, thread)
             installed.append("L2")
@@ -273,7 +261,7 @@ class CacheHierarchy:
         epoch: Optional[int],
         thread: int,
     ) -> Optional[Eviction]:
-        line, eviction = self.l1.install(
+        _, eviction = self.l1.install(
             addr,
             cycle,
             dirty=is_write,
@@ -281,8 +269,6 @@ class CacheHierarchy:
             epoch=epoch,
             thread=thread,
         )
-        if self.obs is not None:
-            self._emit_install("L1", addr, cycle, speculative, epoch, eviction)
         wb_eviction: Optional[Eviction] = None
         if eviction is not None and eviction.dirty:
             # Writeback into L2 (data already in DRAM functional store). The
@@ -336,11 +322,9 @@ class CacheHierarchy:
         epoch: Optional[int],
         thread: int,
     ) -> Optional[Eviction]:
-        line, eviction = self.l2.install(
+        _, eviction = self.l2.install(
             addr, cycle, dirty=False, speculative=speculative, epoch=epoch, thread=thread
         )
-        if self.obs is not None:
-            self._emit_install("L2", addr, cycle, speculative, epoch, eviction)
         if eviction is not None:
             # L2 victims leave the hierarchy entirely; the inclusive-ish
             # model also drops any L1 copy of the victim.
@@ -364,36 +348,6 @@ class CacheHierarchy:
                     was_speculative=eviction.was_speculative,
                 )
         return eviction
-
-    def _emit_install(
-        self,
-        level: str,
-        addr: int,
-        cycle: int,
-        speculative: bool,
-        epoch: Optional[int],
-        eviction: Optional[Eviction],
-    ) -> None:
-        """Trace one install (and its eviction, if any) at ``level``."""
-        trace = self.obs.trace
-        cache = self.l1 if level == "L1" else self.l2
-        trace.emit(
-            cycle,
-            "cache.install",
-            (
-                cache.line_addr_of(addr),
-                level,
-                speculative,
-                epoch,
-                eviction.line_addr if eviction is not None else None,
-            ),
-        )
-        if eviction is not None:
-            trace.emit(
-                cycle,
-                "cache.evict",
-                (eviction.line_addr, level, eviction.dirty, eviction.was_speculative),
-            )
 
     # ------------------------------------------------------------------
     # flush (clflush)
@@ -490,10 +444,6 @@ class CacheHierarchy:
             preferred_way=eviction.way,
         )
         self.l1.stats.restorations += 1
-        if self.obs is not None:
-            self.obs.trace.emit(
-                0, "cache.restore", (eviction.line_addr, eviction.way)
-            )
         return True
 
     # ------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .faults import (
 from .merge import (
     StatSnapshot,
     merge_snapshots,
-    merge_trace_meta,
     snapshot_values,
     snapshot_with_kinds,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "failure_kind",
     "is_transient",
     "merge_snapshots",
-    "merge_trace_meta",
     "read_events",
     "shard_seed",
     "snapshot_values",

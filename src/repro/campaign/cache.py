@@ -6,7 +6,7 @@ shard count), and a content hash of the ``repro`` source tree (the *code
 version*).  Editing any ``.py`` file under the package therefore
 invalidates every entry automatically — there is no staleness knob to
 forget.  Entries store the merged :class:`ExperimentResult` JSON plus the
-merged stats snapshot and trace meta, so a warm run can still serve
+merged stats snapshot and span subtrees, so a warm run can still serve
 ``--stats-out``.
 """
 

@@ -98,19 +98,3 @@ def merge_snapshots(snapshots: Sequence[StatSnapshot]) -> StatSnapshot:
 def snapshot_values(snapshot: StatSnapshot) -> Dict[str, object]:
     """Drop the kind tags: plain ``{name: entry}`` for nesting/dumping."""
     return {name: entry for name, (_, entry) in snapshot.items()}
-
-
-def merge_trace_meta(metas: Sequence[dict]) -> dict:
-    """Aggregate the per-task event-trace summaries for the stats dump."""
-    metas = [m for m in metas if m]
-    if not metas:
-        return {"level": "off", "capacity": 0, "emitted": 0, "buffered": 0, "dropped": 0}
-    return {
-        "level": metas[0]["level"],
-        "capacity": metas[0]["capacity"],
-        "emitted": sum(m["emitted"] for m in metas),
-        "buffered": sum(m["buffered"] for m in metas),
-        "dropped": sum(m["dropped"] for m in metas),
-        # Re-merging already-merged metas keeps the true task count.
-        "tasks": sum(m.get("tasks", 1) for m in metas),
-    }

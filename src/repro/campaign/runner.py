@@ -41,12 +41,7 @@ from ..obs.spans import SpanRecorder, merge_span_trees
 from .cache import ResultCache
 from .events import CampaignEventLog
 from .faults import FaultPlan, TaskTimeout, failure_kind, is_transient
-from .merge import (
-    StatSnapshot,
-    merge_snapshots,
-    merge_trace_meta,
-    snapshot_with_kinds,
-)
+from .merge import StatSnapshot, merge_snapshots, snapshot_with_kinds
 
 #: Stat names the runner itself records (parent side); stripped from
 #: cache entries so warm hits do not replay stale failure/retry counts.
@@ -85,7 +80,6 @@ class _TaskResult:
     payload: object  # shard partial, or a whole ExperimentResult
     seconds: float
     stats: StatSnapshot
-    trace_meta: dict
     attempts: int = 1
     #: Serialized span tree of this task (deterministic — no wall-clock).
     spans: list = field(default_factory=list)
@@ -129,7 +123,6 @@ class ExperimentOutcome:
     n_shards: int = 1
     cached: bool = False
     stats: StatSnapshot = field(default_factory=dict)
-    trace_meta: dict = field(default_factory=dict)
     failed: bool = False
     error: str = ""
     error_traceback: str = ""
@@ -185,9 +178,7 @@ def _run_attempt(task: TaskSpec, attempt: int, faults: FaultPlan) -> _TaskResult
     from ..obs import Observability, observe
 
     started = time.perf_counter()
-    # "squash" keeps only security-relevant events buffered, so campaign
-    # runs don't pay for per-commit tracing (same policy as --stats-out).
-    with observe(Observability(trace_level="squash")) as obs:
+    with observe(Observability()) as obs:
         with _attempt_deadline(task.task_timeout):
             faults.trigger(task.experiment_id, task.shard_index, attempt)
             exp = registry.get(task.experiment_id)
@@ -202,13 +193,6 @@ def _run_attempt(task: TaskSpec, attempt: int, faults: FaultPlan) -> _TaskResult
         payload=payload,
         seconds=seconds,
         stats=snapshot_with_kinds(obs.registry),
-        trace_meta={
-            "level": obs.trace.level,
-            "capacity": obs.trace.capacity,
-            "emitted": obs.trace.emitted,
-            "buffered": len(obs.trace),
-            "dropped": obs.trace.dropped,
-        },
         attempts=attempt,
     )
 
@@ -351,7 +335,6 @@ class CampaignRunner:
             n_shards=int(entry.get("n_shards", 1)),
             cached=True,
             stats=stats,
-            trace_meta=entry.get("trace", {}),
             spans=self._experiment_span(
                 exp_id, entry.get("spans", []), status="cached", lookup="hit"
             ),
@@ -378,7 +361,6 @@ class CampaignRunner:
                 for n, kv in outcome.stats.items()
                 if not n.startswith("campaign.")
             },
-            "trace": outcome.trace_meta,
             "spans": shard_spans,
             "worker_seconds": outcome.worker_seconds,
             "n_shards": outcome.n_shards,
@@ -600,7 +582,6 @@ class CampaignRunner:
                     n_shards=len(results),
                     cached=False,
                     stats=stats,
-                    trace_meta={},
                     failed=True,
                     error=first.error,
                     error_traceback=first.traceback,
@@ -639,7 +620,6 @@ class CampaignRunner:
                 n_shards=len(successes),
                 cached=False,
                 stats=stats,
-                trace_meta=merge_trace_meta([t.trace_meta for t in successes]),
                 retries=n_retries,
                 spans=self._experiment_span(
                     exp_id, all_spans, status="ok", lookup=lookup_status

@@ -4,9 +4,8 @@ The core executes a :class:`~repro.isa.program.Program` functionally while
 computing per-instruction *timestamps* with dataflow scheduling:
 
 * instructions dispatch in order, ``dispatch_width`` per cycle, subject to
-  ROB-occupancy back-pressure (the bounded commit-time deque below — the
-  standalone :class:`~repro.cpu.rob.RobModel` documents and unit-tests the
-  same recurrence);
+  ROB-occupancy back-pressure (the bounded commit-time deque in
+  :meth:`Core.run`);
 * an instruction starts once its source registers are ready (plus the fence
   barrier for memory ops) and completes after its unit latency — loads get
   their latency from the cache hierarchy, *mutating* it;
@@ -195,9 +194,6 @@ class Core:
 
         obs = self.obs
         has_obs = obs is not None
-        trace = obs.trace if has_obs else None
-        emit_commit = trace is not None and trace.commit_events
-        emit_full = trace is not None and trace.full_events
         record_timeline = self.record_timeline
 
         code = program.decoded()
@@ -238,8 +234,15 @@ class Core:
         port_timeline = self.port_timeline
         contended = self.contended_timeline
 
-        # ROB back-pressure state (see repro.cpu.rob.RobModel for the same
-        # recurrence in documented, unit-tested form).
+        # ROB back-pressure: commit is in order, so the commit cycle of
+        # instruction i is the running max of ``complete`` up to i. An
+        # instruction cannot dispatch before the one ``rob_entries`` older
+        # than it has committed (its ROB entry is still occupied); the
+        # bounded deque holds exactly the last ``rob_entries`` commit
+        # cycles, so ``commit_times[0]`` is that entry's commit once it is
+        # full. ``dispatch_width`` instructions share a dispatch cycle at
+        # most; the next one slips to the following cycle. That is the
+        # back-pressure a real ROB exerts, without a per-cycle simulation.
         rob_entries = cfg.rob_entries
         commit_times: deque = deque(maxlen=rob_entries)
         commit_times_append = commit_times.append
@@ -247,8 +250,9 @@ class Core:
         dispatched_this_cycle = 0
         last_commit = 0
 
-        # In-flight memory summary (see repro.cpu.lsq.InflightMemTracker):
-        # max completion time of issued memory ops, and the fence barrier.
+        # In-flight memory summary: the max completion time of issued memory
+        # ops (a Fence drains up to it; it is also CleanupSpec's T4 bound at
+        # a squash), and the fence barrier younger memory ops start after.
         mem_max_complete = 0
         fence_barrier = 0
 
@@ -416,27 +420,6 @@ class Core:
                         fence_barrier=fence_barrier,
                     )
                     delta = hierarchy.squash_epoch_delta(epoch)
-                    # Observability guard: one predicate for the whole squash
-                    # path (begin + delta + end + counters). ``obs`` carries
-                    # the trace, so ``has_obs`` implies ``trace is not None``.
-                    if has_obs:
-                        trace.emit(
-                            squash_point,
-                            "squash.begin",
-                            (pc, resolve, wp.executed, wp.loads_issued, wp.inflight),
-                        )
-                        trace.emit(
-                            squash_point,
-                            "spec.delta",
-                            (
-                                epoch,
-                                sum(1 for i in delta.installs if i.level == "L1"),
-                                sum(1 for i in delta.installs if i.level == "L2"),
-                                sum(1 for e in delta.evictions if e.level == "L1"),
-                                sum(1 for e in delta.evictions if e.level == "L2"),
-                                wp.inflight,
-                            ),
-                        )
                     ctx = SquashContext(
                         resolve_cycle=squash_point,
                         delta=delta,
@@ -452,23 +435,6 @@ class Core:
                     if fetch_resume > fetch_available:
                         fetch_available = fetch_resume
                     if has_obs:
-                        trace.emit(
-                            fetch_resume,
-                            "squash.end",
-                            (
-                                pc,
-                                fetch_resume,
-                                outcome.stall_cycles,
-                                outcome.stage("t3_mshr_clean"),
-                                outcome.stage("t4_inflight_wait"),
-                                outcome.stage("t5_rollback"),
-                                outcome.stage("dummy"),
-                                outcome.stage("padding"),
-                                outcome.invalidated_l1,
-                                outcome.invalidated_l2,
-                                outcome.restored_l1,
-                            ),
-                        )
                         self._st_squashes.inc()
                         self._st_wp_executed.inc(wp.executed)
                         self._st_wp_loads.inc(wp.loads_issued)
@@ -568,16 +534,6 @@ class Core:
             if complete > last_complete_all:
                 last_complete_all = complete
             committed += 1
-            if emit_commit:
-                trace.emit(
-                    complete,
-                    "inst.commit",
-                    (committed - 1, pc, dispatch, start, complete, level),
-                )
-                if emit_full:
-                    trace.emit(dispatch, "inst.dispatch", (committed - 1, pc))
-                    trace.emit(start, "inst.issue", (committed - 1, pc))
-                    trace.emit(complete, "inst.complete", (committed - 1, pc, level))
             if record_timeline:
                 result.timeline.append(
                     InstructionTiming(

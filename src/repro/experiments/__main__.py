@@ -253,7 +253,7 @@ def _json_path(json_arg: str, experiment_id: str, multiple: bool) -> str:
 
 def _write_stats(path: str, runner, profiler) -> None:
     """The ``--stats-out`` document: worker stats merged across all tasks."""
-    from ..campaign import merge_snapshots, merge_trace_meta, snapshot_values
+    from ..campaign import merge_snapshots, snapshot_values
     from ..obs import nest_dotted
 
     outcomes = runner.last_outcomes
@@ -261,7 +261,6 @@ def _write_stats(path: str, runner, profiler) -> None:
     doc = {
         "stats": nest_dotted(snapshot_values(merged)),
         "profile": profiler.to_dict(),
-        "trace": merge_trace_meta([o.trace_meta for o in outcomes]),
         "spans": runner.span_tree(),
     }
     with open(path, "w") as fh:

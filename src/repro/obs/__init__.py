@@ -1,14 +1,17 @@
-"""``repro.obs`` — observability: hierarchical stats, event tracing, profiling.
+"""``repro.obs`` — observability: hierarchical stats and profiling.
 
-The subsystem has three legs, tied together by :class:`Observability`:
+The subsystem has two legs, tied together by :class:`Observability`:
 
 * :class:`~repro.obs.registry.StatRegistry` — gem5-style dotted-name
   statistics (``core.squashes``, ``l1d.misses``,
   ``defense.cleanup.restores``…) with text and JSON dumps;
-* :class:`~repro.obs.trace.EventTrace` — a cycle-stamped, ring-buffered
-  structured event log with an optional JSONL sink;
 * :class:`~repro.obs.profile.Profiler` — wall-clock phase timing for
   experiment runs.
+
+Per-instruction timing and per-squash rollback stages are not kept here:
+each :meth:`~repro.cpu.core.Core.run` returns them in its
+:class:`~repro.cpu.timing.RunResult` (``timeline`` with
+``record_timeline=True``, and ``squashes`` always), which drops nothing.
 
 Attach one ``Observability`` to a core and everything it touches reports::
 
@@ -60,13 +63,10 @@ from .spans import (
     merge_span_trees,
     strip_timing,
 )
-from .trace import EVENT_SCHEMAS, EventTrace, TraceEvent, read_jsonl
 
 __all__ = [
     "Counter",
     "Distribution",
-    "EventTrace",
-    "EVENT_SCHEMAS",
     "Formula",
     "Gauge",
     "NULL_RECORDER",
@@ -76,14 +76,12 @@ __all__ = [
     "SpanRecorder",
     "Stat",
     "StatRegistry",
-    "TraceEvent",
     "get_default_obs",
     "merge_span_trees",
     "nest_dotted",
     "observe",
     "parse_openmetrics",
     "profiler_to_folded",
-    "read_jsonl",
     "registry_to_openmetrics",
     "set_default_obs",
     "strip_timing",
@@ -92,21 +90,14 @@ __all__ = [
 
 
 class Observability:
-    """One registry + one event trace + one profiler, attached as a unit."""
+    """One registry + one profiler, attached as a unit."""
 
     def __init__(
         self,
         registry: Optional[StatRegistry] = None,
-        trace: Optional[EventTrace] = None,
         profiler: Optional[Profiler] = None,
-        trace_capacity: int = 65536,
-        trace_level: str = "commit",
-        jsonl_path: Optional[str] = None,
     ) -> None:
         self.registry = registry or StatRegistry()
-        self.trace = trace or EventTrace(
-            capacity=trace_capacity, level=trace_level, jsonl_path=jsonl_path
-        )
         self.profiler = profiler or Profiler()
 
     def profile(self, name: str):
@@ -118,13 +109,6 @@ class Observability:
         return {
             "stats": self.registry.to_dict(),
             "profile": self.profiler.to_dict(),
-            "trace": {
-                "level": self.trace.level,
-                "capacity": self.trace.capacity,
-                "emitted": self.trace.emitted,
-                "buffered": len(self.trace),
-                "dropped": self.trace.dropped,
-            },
         }
 
     def dump_json(self, path: str, indent: int = 2) -> None:

@@ -8,22 +8,12 @@ from .gem5stats import (
     parse_stats,
     run_gem5_style,
 )
-from .trace import (
-    render_events,
-    render_squashes,
-    render_timeline,
-    render_trace_timeline,
-    summarize_run,
-    trace_timeline,
-)
+from .trace import render_squashes, render_timeline, summarize_run
 
 __all__ = [
     "render_timeline",
-    "render_trace_timeline",
-    "render_events",
     "render_squashes",
     "summarize_run",
-    "trace_timeline",
     "Gem5Stats",
     "run_gem5_style",
     "parse_stats",

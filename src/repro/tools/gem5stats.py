@@ -11,12 +11,13 @@ benchmark and extracting three counters from ``benchmark_name.txt``:
 
 then computes ``overhead = (no-const or XX-const) / unsafe-time`` over the
 post-warm-up window. This module reproduces that exact workflow against
-our simulator, driven by the :mod:`repro.obs` subsystem rather than an
-ad-hoc recompute: :func:`run_gem5_style` runs the program under an
-attached :class:`~repro.obs.Observability`, reads the commit boundaries
-and per-squash rollback stages out of the **event trace**, cross-checks
-them against the **stat registry**, and ships the registry snapshot with
-the result. :func:`parse_stats` reads a rendered stats text back and
+our simulator: :func:`run_gem5_style` runs the program with
+``record_timeline=True`` under an attached
+:class:`~repro.obs.Observability`, reads the commit boundaries from the
+run's **timeline** and the per-squash rollback stages from its **squash
+records** (:class:`~repro.cpu.timing.RunResult`), cross-checks both against
+the **stat registry**, and ships the registry snapshot with the result.
+:func:`parse_stats` reads a rendered stats text back and
 :func:`artifact_overhead` implements the appendix's Calculation section
 verbatim — so the repository can be driven the way the artifact
 documents, not only through :mod:`repro.experiments`.
@@ -92,25 +93,17 @@ def run_gem5_style(
     are derived per squash as ``max(const, t5) - t5`` over the measurement
     window — exactly what the relaxed scheme would add.
 
-    Every number is read out of the attached observability: commit
-    boundaries from the trace's ``inst.commit`` events, rollback stages
-    from its ``squash.end`` events, with the registry's ``core.*``
-    counters as a consistency cross-check (an inconsistent derivation
-    raises). Pass ``obs`` to share a registry across runs (its trace is
-    cleared first — the derivation must only see this run); by default
-    each run gets a fresh one, returned via ``registry_snapshot``.
+    Every number is read out of the run's :class:`RunResult`: commit
+    boundaries from ``timeline``, squash cycles and rollback stages from
+    ``squashes``, with the registry's ``core.*`` counters as a consistency
+    cross-check (an inconsistent derivation raises). Pass ``obs`` to share
+    a registry across runs (the cross-checks compare this run's delta); by
+    default each run gets a fresh one, returned via ``registry_snapshot``.
     """
     if not 0 <= startinst_count < maxinst_count:
         raise ExperimentError("need 0 <= startinst_count < maxinst_count")
 
-    max_instructions = max(maxinst_count * 4, 1_000_000)
-    if obs is None:
-        # Size the ring so no commit event of a legal run can be dropped:
-        # the run aborts past max_instructions anyway. Squash/install events
-        # ride in the same ring; give them headroom.
-        obs = Observability(
-            trace_capacity=4 * max_instructions, trace_level="commit"
-        )
+    obs = obs or Observability()
     hierarchy = CacheHierarchy(seed=seed, obs=obs)
     defense: Defense
     if scheme == SCHEME_UNSAFE:
@@ -120,22 +113,16 @@ def run_gem5_style(
     else:
         raise ExperimentError(f"unknown scheme_cleanupcache {scheme!r}")
 
-    core = Core(hierarchy, defense, obs=obs)
+    core = Core(hierarchy, defense, record_timeline=True, obs=obs)
     reg = obs.registry
     # Pre-run registry values: with a shared obs the counters accumulate
     # across runs, so the cross-checks below compare this run's delta.
     committed_before = reg["core.instructions"].value()
     squashes_before = reg["core.squashes"].value()
-    obs.trace.clear()  # the derivation below must only see this run
-    result = core.run(program, max_instructions=max_instructions)
+    result = core.run(program, max_instructions=max(maxinst_count * 4, 1_000_000))
 
-    # ---- derive the artifact counters from the event trace ----
-    completes = [e.data[4] for e in obs.trace.events("inst.commit")]
-    if obs.trace.dropped:
-        raise ExperimentError(
-            f"trace ring dropped {obs.trace.dropped} events; "
-            "pass an Observability with a larger trace_capacity"
-        )
+    # ---- derive the artifact counters from the run record ----
+    completes = [t.complete for t in result.timeline]
     # Warm-up boundary: completion time of the startinst_count-th commit.
     start_cycles = 0
     if startinst_count > 0:
@@ -145,34 +132,26 @@ def run_gem5_style(
     sim_ticks = completes[end_idx] if end_idx >= 0 else result.cycles
 
     extras: Dict[int, int] = {}
-    squash_ends = list(obs.trace.events("squash.end"))
     if scheme == SCHEME_CLEANUP:
-        penalty = core.config.mispredict_penalty
+        t5s = [
+            event.outcome.stage("t5_rollback")
+            for event in result.squashes
+            if start_cycles <= event.squash_cycle <= sim_ticks
+        ]
         for const in constants:
-            extra = 0
-            for event in squash_ends:
-                # The event is stamped at fetch-resume; squash handling
-                # began mispredict-penalty + stall cycles earlier, which
-                # recovers the squash_cycle the artifact windows on.
-                squash_cycle = (
-                    event.field("fetch_resume") - penalty - event.field("stall")
-                )
-                if not start_cycles <= squash_cycle <= sim_ticks:
-                    continue
-                extra += max(0, const - event.field("t5"))
-            extras[const] = extra
+            extras[const] = sum(max(0, const - t5) for t5 in t5s)
 
-    # ---- registry cross-checks: trace and counters must agree ----
+    # ---- registry cross-checks: run record and counters must agree ----
     delta_committed = reg["core.instructions"].value() - committed_before
-    # The Halt commit never emits an inst.commit event (mirroring the
-    # recorded timeline); everything else must line up exactly.
+    # The Halt commit is counted but never enters the timeline; everything
+    # else must line up exactly.
     if not delta_committed - 1 <= len(completes) <= delta_committed:
         raise ExperimentError(
-            f"trace/registry mismatch: {len(completes)} commit events vs "
+            f"timeline/registry mismatch: {len(completes)} timeline entries vs "
             f"{delta_committed} committed instructions"
         )
-    if reg["core.squashes"].value() - squashes_before != len(squash_ends):
-        raise ExperimentError("trace/registry mismatch on squash count")
+    if reg["core.squashes"].value() - squashes_before != len(result.squashes):
+        raise ExperimentError("squash record/registry mismatch on squash count")
 
     return Gem5Stats(
         benchmark=benchmark,

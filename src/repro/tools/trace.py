@@ -1,36 +1,29 @@
-"""Execution-trace rendering: waterfalls and event logs.
+"""Execution-trace rendering: waterfalls and squash breakdowns.
 
 Debugging a timing channel means staring at *when* things happened. These
-helpers render instruction timelines as an ASCII waterfall — one row per
-committed instruction, bars spanning dispatch→start→complete — plus a
-squash annotation view showing each mis-speculation's wrong-path size and
-defense stall breakdown.
+helpers render a :class:`~repro.cpu.timing.RunResult` — the one per-run
+record of instructions and squashes:
 
-Two sources feed the same waterfall renderer:
-
-* a :class:`~repro.cpu.timing.RunResult` recorded with
-  ``Core(record_timeline=True)`` (:func:`render_timeline`), and
-* an :class:`~repro.obs.EventTrace` captured by an attached
-  :class:`~repro.obs.Observability` (:func:`render_trace_timeline`), built
-  from the trace's ``inst.commit`` events — the structured source that
-  also drives the JSONL dump and :func:`render_events`.
+* :func:`render_timeline` — an ASCII waterfall of a run recorded with
+  ``Core(record_timeline=True)``: one row per committed instruction, bars
+  spanning dispatch→start→complete;
+* :func:`render_squashes` — one line per mis-speculation with its
+  wrong-path size and the defense's stall breakdown (T3/T4/T5…).
 
 Example::
 
-    obs = Observability()
-    h = CacheHierarchy(obs=obs)
-    core = Core(h, CleanupSpec(h), obs=obs)
+    h = CacheHierarchy()
+    core = Core(h, CleanupSpec(h), record_timeline=True)
     result = core.run(program)
-    print(render_trace_timeline(obs.trace, program=program))
-    print(render_events(obs.trace, kinds="squash"))
+    print(render_timeline(result))
+    print(render_squashes(result))
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
-from ..cpu.timing import InstructionTiming, RunResult
-from ..obs import EventTrace
+from ..cpu.timing import RunResult
 
 #: Bar glyphs: queued (dispatch→start) and executing (start→complete).
 _QUEUE_CHAR = "."
@@ -44,16 +37,21 @@ def _scale(cycle: int, t0: int, t1: int, width: int) -> int:
     return max(0, min(width - 1, pos))
 
 
-def _render_waterfall(
-    entries: Sequence[InstructionTiming],
-    width: int,
-    max_rows: Optional[int],
-    start_cycle: int,
-    end_cycle: Optional[int],
+def render_timeline(
+    result: RunResult,
+    width: int = 64,
+    max_rows: Optional[int] = None,
+    start_cycle: int = 0,
+    end_cycle: Optional[int] = None,
 ) -> str:
-    """Shared waterfall renderer over timeline-like entries."""
+    """ASCII waterfall of a run recorded with ``record_timeline=True``.
+
+    ``width`` is the number of character columns the cycle axis maps onto;
+    ``start_cycle``/``end_cycle`` clip the view window.
+    """
+    entries = result.timeline
     if not entries:
-        return "(timeline empty — attach an Observability or record_timeline=True)"
+        return "(timeline empty — run the core with record_timeline=True)"
     t_end = end_cycle if end_cycle is not None else max(e.complete for e in entries)
     visible = [
         e for e in entries if e.complete >= start_cycle and e.dispatch <= t_end
@@ -83,101 +81,6 @@ def _render_waterfall(
         text = e.text if len(e.text) <= label_width else e.text[: label_width - 1] + "~"
         lines.append(f"{e.index:>4} {text:<{label_width}} |{''.join(row)}|{level}")
     return "\n".join(lines)
-
-
-def trace_timeline(trace: EventTrace, program=None) -> List[InstructionTiming]:
-    """Rebuild per-instruction timeline entries from ``inst.commit`` events.
-
-    The trace stores only the pc (building instruction text per commit
-    would tax the hot path); pass the ``program`` to recover the assembly
-    text, otherwise rows are labelled ``pc=N``.
-    """
-    entries: List[InstructionTiming] = []
-    for event in trace.events("inst.commit"):
-        index, pc, dispatch, start, complete, level = event.data
-        if program is not None and 0 <= pc < len(program):
-            text = str(program[pc])
-        else:
-            text = f"pc={pc}"
-        entries.append(
-            InstructionTiming(
-                index=index,
-                pc=pc,
-                text=text,
-                dispatch=dispatch,
-                start=start,
-                complete=complete,
-                level=level,
-            )
-        )
-    return entries
-
-
-def render_timeline(
-    result: RunResult,
-    width: int = 64,
-    max_rows: Optional[int] = None,
-    start_cycle: int = 0,
-    end_cycle: Optional[int] = None,
-) -> str:
-    """ASCII waterfall of a run recorded with ``record_timeline=True``.
-
-    ``width`` is the number of character columns the cycle axis maps onto;
-    ``start_cycle``/``end_cycle`` clip the view window.
-    """
-    if not result.timeline:
-        return "(timeline empty — run the core with record_timeline=True)"
-    return _render_waterfall(result.timeline, width, max_rows, start_cycle, end_cycle)
-
-
-def render_trace_timeline(
-    trace: EventTrace,
-    program=None,
-    width: int = 64,
-    max_rows: Optional[int] = None,
-    start_cycle: int = 0,
-    end_cycle: Optional[int] = None,
-) -> str:
-    """ASCII waterfall built from an :class:`EventTrace`'s commit events."""
-    entries = trace_timeline(trace, program=program)
-    if not entries:
-        return "(no inst.commit events — trace level 'commit' or 'full' required)"
-    return _render_waterfall(entries, width, max_rows, start_cycle, end_cycle)
-
-
-def render_events(
-    trace: EventTrace,
-    kinds: Optional[Iterable[str]] = None,
-    max_rows: Optional[int] = None,
-) -> str:
-    """Flat ``cycle kind field=value …`` log of the buffered events.
-
-    ``kinds`` filters by exact kind or dotted prefix (``"cache"``,
-    ``"squash"``); a plain string is treated as one filter.
-    """
-    if isinstance(kinds, str):
-        kinds = [kinds]
-    rows: List[str] = []
-    if trace.dropped:
-        rows.append(
-            f"(ring buffer wrapped: {trace.dropped} earlier events dropped, "
-            f"showing the last {len(trace)} of {trace.emitted})"
-        )
-    for event in trace.events():
-        if kinds is not None and not any(
-            event.kind == k or event.kind.startswith(k + ".") for k in kinds
-        ):
-            continue
-        payload = event.to_dict()
-        fields = " ".join(
-            f"{k}={v}" for k, v in payload.items() if k not in ("cycle", "kind")
-        )
-        rows.append(f"{event.cycle:>10} {event.kind:<14} {fields}")
-        if max_rows is not None and len(rows) >= max_rows:
-            break
-    if not rows:
-        return "(no matching events)"
-    return "\n".join(rows)
 
 
 def render_squashes(result: RunResult) -> str:

@@ -10,9 +10,9 @@ multi-round workload. Two modes:
   per-round out-of-band DRAM pokes.
 
 :func:`run_case` executes a case and captures a *round record* per round:
-latency/cycles/instructions, final registers, the squash trace, the
-squash-level event-trace tail, the registry snapshot, and full machine +
-stats fingerprints. :func:`pin_round` reduces a record to its golden pin:
+latency/cycles/instructions, final registers, the squash records, the
+per-instruction timeline, the registry snapshot, and full machine + stats
+fingerprints. :func:`pin_round` reduces a record to its golden pin:
 the three timing numbers verbatim plus a sha256 over everything else. Each
 case's JSON stores the expected pins under ``"golden"``.
 """
@@ -52,7 +52,7 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 TIMING_FIELDS = ("latency", "cycles", "instructions")
 
 #: Round-record fields pinned through one sha256.
-HASHED_FIELDS = ("registers", "squashes", "trace", "registry", "machine", "stats")
+HASHED_FIELDS = ("registers", "squashes", "timeline", "registry", "machine", "stats")
 
 _DEFENSES = {
     "cleanup": lambda h: CleanupSpec(h),
@@ -239,22 +239,16 @@ def _squash_key(event) -> tuple:
     )
 
 
-def _trace_tail(trace, emitted_before: int) -> tuple:
-    emitted = trace.emitted - emitted_before
-    if emitted <= 0:
-        return ()
-    buffered = list(trace._buf)
-    return tuple(buffered[-emitted:]) if emitted <= len(buffered) else tuple(buffered)
-
-
-def _round_record(core, obs, result, latency, emitted_before) -> dict:
+def _round_record(core, obs, result, latency) -> dict:
     return {
         "latency": latency,
         "cycles": result.cycles,
         "instructions": result.instructions,
         "registers": tuple(sorted(result.registers.raw.items())),
         "squashes": tuple(_squash_key(e) for e in result.squashes),
-        "trace": _trace_tail(obs.trace, emitted_before),
+        "timeline": tuple(
+            (t.pc, t.dispatch, t.start, t.complete, t.level) for t in result.timeline
+        ),
         "registry": json.dumps(obs.registry.to_dict(), sort_keys=True, default=str),
         "machine": machine_fingerprint(core),
         "stats": stats_fingerprint(core),
@@ -288,7 +282,7 @@ def _system_config(config: Optional[dict]) -> SystemConfig:
 
 def run_case(case: dict) -> List[dict]:
     """Execute ``case``; one round record per round."""
-    obs = Observability(trace_level="squash")
+    obs = Observability()
     previous = set_default_obs(obs)
     try:
         if case.get("mode", "attack") == "attack":
@@ -307,16 +301,16 @@ def _run_attack_case(case, obs) -> List[dict]:
         defense_factory=_DEFENSES[case.get("defense", "cleanup")],
     )
     attack.prepare()
+    attack.core.record_timeline = True
     rows: List[dict] = []
     for bit in case["bits"]:
         # UnxpecAttack.sample discards the RunResult; take the same steps
         # it takes so both the sample latency and the raw result are
         # visible to the record.
-        emitted_before = obs.trace.emitted
         attack.gadget.set_secret(attack.hierarchy.dram, bit)
         result = attack.core.run(attack._round_program)
         latency = attack._extract(bit, result).latency
-        rows.append(_round_record(attack.core, obs, result, latency, emitted_before))
+        rows.append(_round_record(attack.core, obs, result, latency))
     return rows
 
 
@@ -326,16 +320,17 @@ def _run_program_case(case, obs) -> List[dict]:
         config=_system_config(case.get("config")), seed=case.get("seed", 0)
     )
     defense = _DEFENSES[case.get("defense", "cleanup")](hierarchy)
-    core = Core(hierarchy, defense, config=hierarchy.config.core)
+    core = Core(
+        hierarchy, defense, config=hierarchy.config.core, record_timeline=True
+    )
     pokes = case.get("pokes", ())
     rows: List[dict] = []
     for index in range(case.get("rounds", 4)):
         if index < len(pokes):
             for addr, value in pokes[index]:
                 hierarchy.dram.poke(addr, value)
-        emitted_before = obs.trace.emitted
         result = core.run(program, max_instructions=10_000)
-        rows.append(_round_record(core, obs, result, result.cycles, emitted_before))
+        rows.append(_round_record(core, obs, result, result.cycles))
     return rows
 
 

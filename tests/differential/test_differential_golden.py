@@ -5,7 +5,7 @@ noisy), one case per defense family, and raw-program cases exercising
 out-of-band DRAM pokes, tiny cache/MSHR geometries, wild effective
 addresses and the divider. Each case stores, per round, the latency,
 cycles and instruction count plus a sha256 over the rest of the round
-record (registers, squashes, squash-level trace, registry, machine and
+record (registers, squashes, per-instruction timeline, registry, machine and
 stats fingerprints), so any change to machine state shows up here even
 when the timing happens to match.
 """

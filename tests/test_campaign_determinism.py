@@ -163,7 +163,6 @@ class TestCacheBehavior:
         warm = runner.run(ids=["fig3"], quick=True, seed=0)
         assert warm[0].cached
         assert stats_json(cold) == stats_json(warm)
-        assert warm[0].trace_meta["level"] == cold[0].trace_meta["level"]
 
     def test_default_obs_registry_mirrors_hits_and_misses(self, tmp_path):
         from repro.obs import Observability, observe

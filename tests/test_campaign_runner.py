@@ -12,7 +12,6 @@ from repro.campaign import (
     campaign_digest,
     code_version,
     merge_snapshots,
-    merge_trace_meta,
     snapshot_with_kinds,
 )
 from repro.experiments import registry
@@ -79,14 +78,6 @@ class TestSnapshotMerge:
         a = merge_snapshots([dict(s) for s in snaps])
         b = merge_snapshots([dict(s) for s in snaps])
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_trace_meta_nested_merge_keeps_task_count(self):
-        meta = {"level": "squash", "capacity": 8, "emitted": 5, "buffered": 5, "dropped": 0}
-        once = merge_trace_meta([meta, meta])
-        twice = merge_trace_meta([once, once])
-        assert once["tasks"] == 2
-        assert twice["tasks"] == 4
-        assert twice["emitted"] == 20
 
 
 class TestResultCacheUnit:

@@ -1,138 +1,8 @@
-"""Tests for repro.obs.trace (event ring) and repro.obs.profile."""
+"""Tests for repro.obs.profile (the wall-clock phase profiler)."""
 
 import pytest
 
-from repro.common.errors import ConfigError
-from repro.obs import EVENT_SCHEMAS, EventTrace, Profiler, read_jsonl
-
-
-class TestEmissionOrder:
-    def test_events_in_emission_order(self):
-        t = EventTrace()
-        t.emit(5, "cache.hit", (0x100, "L1"))
-        t.emit(7, "cache.miss", (0x140, "MEM"))
-        t.emit(7, "cache.hit", (0x100, "L1"))
-        cycles = [(e.cycle, e.kind) for e in t.events()]
-        assert cycles == [(5, "cache.hit"), (7, "cache.miss"), (7, "cache.hit")]
-
-    def test_kind_filter_exact(self):
-        t = EventTrace()
-        t.emit(1, "cache.hit", (0, "L1"))
-        t.emit(2, "cache.miss", (0, "MEM"))
-        assert [e.cycle for e in t.events("cache.miss")] == [2]
-
-    def test_kind_filter_dotted_prefix(self):
-        t = EventTrace()
-        t.emit(1, "cache.hit", (0, "L1"))
-        t.emit(2, "inst.commit", (0, 0, 0, 0, 2, None))
-        t.emit(3, "cache.evict", (0, "L1", False, False))
-        assert [e.kind for e in t.events("cache")] == ["cache.hit", "cache.evict"]
-
-    def test_last_and_counts(self):
-        t = EventTrace()
-        t.emit(1, "cache.hit", (0, "L1"))
-        t.emit(9, "cache.hit", (4, "L1"))
-        assert t.last("cache.hit").cycle == 9
-        assert t.last("cache.miss") is None
-        assert t.counts() == {"cache.hit": 2}
-
-
-class TestRingOverflow:
-    def test_keeps_most_recent_window(self):
-        t = EventTrace(capacity=4)
-        for i in range(10):
-            t.emit(i, "cache.hit", (i, "L1"))
-        assert len(t) == 4
-        assert t.emitted == 10
-        assert t.dropped == 6
-        assert [e.cycle for e in t.events()] == [6, 7, 8, 9]
-
-    def test_clear_resets_accounting(self):
-        t = EventTrace(capacity=2)
-        for i in range(5):
-            t.emit(i, "cache.hit", (i, "L1"))
-        t.clear()
-        assert (len(t), t.emitted, t.dropped) == (0, 0, 0)
-
-    def test_capacity_validated(self):
-        with pytest.raises(ConfigError):
-            EventTrace(capacity=0)
-
-
-class TestLevels:
-    def test_flags_by_level(self):
-        assert not EventTrace(level="squash").commit_events
-        assert EventTrace(level="commit").commit_events
-        assert not EventTrace(level="commit").full_events
-        assert EventTrace(level="full").full_events
-
-    def test_unknown_level_rejected(self):
-        with pytest.raises(ConfigError):
-            EventTrace(level="verbose")
-
-
-class TestEventView:
-    def test_field_accessor(self):
-        t = EventTrace()
-        t.emit(3, "squash.begin", (7, 3, 4, 2, 1))
-        e = t.last()
-        assert e.field("pc") == 7
-        assert e.field("inflight") == 1
-        with pytest.raises(ConfigError):
-            e.field("nonexistent")
-
-    def test_to_dict_zips_schema(self):
-        t = EventTrace()
-        t.emit(2, "cache.restore", (0x200, 3))
-        d = t.last().to_dict()
-        assert d == {"cycle": 2, "kind": "cache.restore", "addr": 0x200, "way": 3}
-
-    def test_schemas_cover_documented_kinds(self):
-        for kind in (
-            "inst.commit",
-            "cache.install",
-            "cache.restore",
-            "spec.delta",
-            "squash.begin",
-            "squash.end",
-        ):
-            assert kind in EVENT_SCHEMAS
-
-
-class TestJsonl:
-    def test_round_trip(self, tmp_path):
-        t = EventTrace()
-        t.emit(1, "cache.hit", (0x40, "L1"))
-        t.emit(8, "cache.restore", (0x80, 2))
-        path = t.to_jsonl(str(tmp_path / "trace.jsonl"))
-        rows = read_jsonl(path)
-        assert rows == [
-            {"cycle": 1, "kind": "cache.hit", "addr": 0x40, "level": "L1"},
-            {"cycle": 8, "kind": "cache.restore", "addr": 0x80, "way": 2},
-        ]
-
-    def test_no_path_rejected(self):
-        with pytest.raises(ConfigError):
-            EventTrace().to_jsonl()
-
-    def test_truncated_trace_writes_meta_header(self, tmp_path):
-        t = EventTrace(capacity=2)
-        for cycle in range(5):
-            t.emit(cycle, "cache.hit", (0x40, "L1"))
-        rows = read_jsonl(t.to_jsonl(str(tmp_path / "trace.jsonl")))
-        assert rows[0] == {
-            "meta": "trace",
-            "dropped": 3,
-            "emitted": 5,
-            "buffered": 2,
-        }
-        assert [r["cycle"] for r in rows[1:]] == [3, 4]
-
-    def test_untruncated_trace_has_no_header(self, tmp_path):
-        t = EventTrace(capacity=8)
-        t.emit(1, "cache.hit", (0x40, "L1"))
-        rows = read_jsonl(t.to_jsonl(str(tmp_path / "trace.jsonl")))
-        assert all("meta" not in r for r in rows)
+from repro.obs import Profiler
 
 
 class TestProfiler:

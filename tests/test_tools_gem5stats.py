@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ExperimentError
+from repro.obs import Observability
 from repro.tools.gem5stats import (
     SCHEME_CLEANUP,
     SCHEME_UNSAFE,
@@ -50,6 +51,51 @@ class TestRunGem5Style:
     def test_window_validation(self, workload):
         with pytest.raises(ExperimentError):
             run_gem5_style(workload.program, SCHEME_UNSAFE, 100, 100)
+
+
+#: (profile, instructions, seed, maxinst, startinst, scheme) ->
+#: (sim_ticks, start_cycles, extraCleanupSquashTimeCycles by constant),
+#: recorded when the counters were still derived from an event ring: the
+#: derivation from the run record must not move a number.
+PINNED = {
+    ("gcc_r", 3000, 1, 2500, 500, SCHEME_UNSAFE): (1709, 423, {}),
+    ("gcc_r", 3000, 1, 2500, 500, SCHEME_CLEANUP): (
+        1785, 478, {25: 425, 30: 510, 35: 595, 45: 765, 65: 1105},
+    ),
+    ("mcf_r", 4000, 2, 3500, 700, SCHEME_UNSAFE): (3554, 572, {}),
+    ("mcf_r", 4000, 2, 3500, 700, SCHEME_CLEANUP): (
+        4600, 701, {25: 675, 30: 810, 35: 946, 45: 1256, 65: 1948},
+    ),
+}
+
+
+class TestPinnedCounters:
+    @pytest.mark.parametrize("key", sorted(PINNED), ids=lambda k: f"{k[0]}-{k[5]}")
+    def test_counters_match_pins(self, key):
+        profile, n, seed, maxinst, startinst, scheme = key
+        program = synthesize(get_profile(profile), instructions=n, seed=seed).program
+        stats = run_gem5_style(
+            program, scheme, maxinst_count=maxinst, startinst_count=startinst
+        )
+        assert (
+            stats.sim_ticks,
+            stats.start_cycles,
+            stats.extra_cleanup_squash_time,
+        ) == PINNED[key]
+
+    def test_shared_obs_on_real_size_run_matches_fresh_obs(self):
+        # 86k committed instructions: more records than any fixed-size
+        # buffer a shared Observability could have been built with.
+        program = synthesize(get_profile("gcc_r"), instructions=90000, seed=0).program
+        kwargs = dict(maxinst_count=80000, startinst_count=5000)
+        fresh = run_gem5_style(program, SCHEME_CLEANUP, **kwargs)
+        shared_obs = Observability()
+        shared = run_gem5_style(program, SCHEME_CLEANUP, obs=shared_obs, **kwargs)
+        assert (fresh.sim_ticks, fresh.start_cycles) == (54384, 3796)
+        assert shared == fresh
+        assert shared_obs.registry["core.instructions"].value() == 86142
+        # A second run on the same obs still cross-checks (per-run deltas).
+        assert run_gem5_style(program, SCHEME_CLEANUP, obs=shared_obs, **kwargs) == fresh
 
 
 class TestRenderParse:

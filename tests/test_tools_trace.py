@@ -114,23 +114,3 @@ class TestReportWriter:
         assert "**FAIL**" in text
         assert "0/1" in text
 
-
-class TestRenderEventsTruncation:
-    def test_wrapped_buffer_is_announced(self):
-        from repro.obs import EventTrace
-        from repro.tools import render_events
-
-        t = EventTrace(capacity=2)
-        for cycle in range(5):
-            t.emit(cycle, "cache.hit", (0x40, "L1"))
-        out = render_events(t)
-        assert "ring buffer wrapped: 3 earlier events dropped" in out
-        assert "last 2 of 5" in out
-
-    def test_untruncated_output_has_no_note(self):
-        from repro.obs import EventTrace
-        from repro.tools import render_events
-
-        t = EventTrace(capacity=8)
-        t.emit(1, "cache.hit", (0x40, "L1"))
-        assert "wrapped" not in render_events(t)
