@@ -68,50 +68,3 @@ def test_observed_overhead_under_budget():
 
     overhead = observed / bare - 1.0
     assert overhead < 0.15, f"obs overhead {overhead:.1%} >= 15%"
-
-
-def _run_campaign(spans):
-    from repro.campaign import CampaignRunner
-
-    runner = CampaignRunner(jobs=1, cache=None, spans=spans)
-    outcomes = runner.run(ids=["fig3"], quick=True, seed=0)
-    assert not any(o.failed for o in outcomes)
-    return runner
-
-
-def test_campaign_spans_overhead_under_budget():
-    """Span recording keeps a campaign run inside the 15% overhead bar.
-
-    Spans are task-granularity (a handful of nodes per shard, stamped
-    with one perf_counter pair each), so their cost should be noise next
-    to the simulated work; this pins that.  Same min-of-N alternating
-    protocol as the core-run guard above.
-    """
-    _run_campaign(spans=False)
-    _run_campaign(spans=True)
-    bare = observed = float("inf")
-    for _ in range(3):
-        started = time.perf_counter()
-        _run_campaign(spans=False)
-        bare = min(bare, time.perf_counter() - started)
-        started = time.perf_counter()
-        _run_campaign(spans=True)
-        observed = min(observed, time.perf_counter() - started)
-
-    overhead = observed / bare - 1.0
-    assert overhead < 0.15, f"campaign span overhead {overhead:.1%} >= 15%"
-
-
-def test_spans_disabled_is_noop_path():
-    """Spans off means the shared null span — no allocation per task."""
-    from repro.obs.spans import NULL_SPAN, SpanRecorder
-
-    recorder = SpanRecorder(enabled=False)
-    span = recorder.start("campaign", "campaign")
-    assert span is NULL_SPAN
-    assert span.child("x", "shard") is NULL_SPAN
-    assert recorder.to_dicts() == []
-
-    runner = _run_campaign(spans=False)
-    assert runner.span_tree() == {}
-    assert all(o.spans == {} for o in runner.last_outcomes)

@@ -39,7 +39,6 @@ from .faults import (
     FaultSpec,
     InjectedFault,
     TaskTimeout,
-    failure_kind,
     is_transient,
 )
 from .merge import (
@@ -68,7 +67,6 @@ __all__ = [
     "campaign_digest",
     "canonical_events",
     "code_version",
-    "failure_kind",
     "is_transient",
     "merge_snapshots",
     "read_events",

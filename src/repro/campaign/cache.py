@@ -6,8 +6,9 @@ shard count), and a content hash of the ``repro`` source tree (the *code
 version*).  Editing any ``.py`` file under the package therefore
 invalidates every entry automatically — there is no staleness knob to
 forget.  Entries store the merged :class:`ExperimentResult` JSON plus the
-merged stats snapshot and span subtrees, so a warm run can still serve
-``--stats-out``.
+merged stats snapshot, so a warm run can still serve ``--stats-out``.
+Lookups count into :attr:`ResultCache.hits` / :attr:`ResultCache.misses`;
+the campaign's ``task.cache_hit`` events record which experiments hit.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from functools import lru_cache
 from typing import Dict, Optional
 
 #: Bump when the entry layout changes; part of every key.
-CACHE_SCHEMA = 1
-
-#: Stat names bumped on every lookup when a default obs is installed.
-#: ``campaign.*`` names are stripped from cache entries by the runner, so
-#: a warm hit never replays a previous run's cache luck.
-CACHE_HITS_STAT = "campaign.cache.hits"
-CACHE_MISSES_STAT = "campaign.cache.misses"
-CACHE_HIT_RATE_STAT = "campaign.cache.hit_rate"
+CACHE_SCHEMA = 2
 
 
 def _json_default(obj):
@@ -99,36 +93,12 @@ class ResultCache:
                 doc = json.load(fh)
         except (OSError, ValueError):
             self.misses += 1
-            self._record_lookup(hit=False)
             return None
         if doc.get("key") != key:  # 16-hex-char filename collision
             self.misses += 1
-            self._record_lookup(hit=False)
             return None
         self.hits += 1
-        self._record_lookup(hit=True)
         return doc
-
-    def _record_lookup(self, hit: bool) -> None:
-        """Mirror hits/misses into the default obs registry, if installed."""
-        from ..obs import get_default_obs
-
-        obs = get_default_obs()
-        if obs is None:
-            return
-        hits = obs.registry.counter(CACHE_HITS_STAT, "campaign cache hits")
-        misses = obs.registry.counter(CACHE_MISSES_STAT, "campaign cache misses")
-        (hits if hit else misses).inc()
-        if CACHE_HIT_RATE_STAT not in obs.registry:
-            obs.registry.formula(
-                CACHE_HIT_RATE_STAT,
-                lambda h=hits, m=misses: (
-                    h.value() / (h.value() + m.value())
-                    if (h.value() + m.value())
-                    else 0.0
-                ),
-                desc="campaign cache hit fraction",
-            )
 
     def put(self, experiment_id: str, key: str, doc: dict) -> str:
         """Store ``doc`` under ``key``; returns the entry path."""

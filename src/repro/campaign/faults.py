@@ -82,18 +82,6 @@ def is_transient(exc: BaseException) -> bool:
     return type(exc).__name__ in _TRANSIENT_NAMES
 
 
-def failure_kind(exc: BaseException) -> str:
-    """Coarse failure class for span statuses and lifecycle events.
-
-    ``"timeout"`` (a :class:`TaskTimeout`, i.e. the ``--task-timeout``
-    budget fired), ``"transient"`` (retryable per :func:`is_transient`),
-    or ``"deterministic"`` (would fail identically on every attempt).
-    """
-    if isinstance(exc, TaskTimeout):
-        return "timeout"
-    return "transient" if is_transient(exc) else "deterministic"
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """Fail one (experiment, shard, attempt) coordinate in a chosen way.

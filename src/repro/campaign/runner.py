@@ -21,6 +21,11 @@ instead of raising; the parent degrades the affected experiment to a
 ``failed`` :class:`ExperimentOutcome` (error + traceback preserved) while
 every other experiment completes untouched.  If the pool itself breaks,
 the unfinished tasks re-run in-process.  See docs/campaign.md.
+
+Record keeping: the lifecycle events of :mod:`repro.campaign.events`
+(attempts, retries with their error, failures, cache hits) are the one
+record of how a campaign ran; an outcome's ``stats`` hold only what the
+workers' stat registries counted of the simulation.
 """
 
 from __future__ import annotations
@@ -37,16 +42,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..experiments import registry
 from ..experiments.base import ExperimentResult, Shard, ShardableExperiment
-from ..obs.spans import SpanRecorder, merge_span_trees
 from .cache import ResultCache
 from .events import CampaignEventLog
-from .faults import FaultPlan, TaskTimeout, failure_kind, is_transient
+from .faults import FaultPlan, TaskTimeout, is_transient
 from .merge import StatSnapshot, merge_snapshots, snapshot_with_kinds
-
-#: Stat names the runner itself records (parent side); stripped from
-#: cache entries so warm hits do not replay stale failure/retry counts.
-FAILED_TASKS_STAT = "campaign.tasks.failed"
-RETRIES_STAT = "campaign.retries"
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,10 @@ class TaskSpec:
     backoff: float = 0.1
     backoff_cap: float = 2.0
     faults: Optional[FaultPlan] = None
-    record_spans: bool = True
 
     @property
     def shard_index(self) -> int:
         return -1 if self.shard is None else self.shard.index
-
-    @property
-    def span_name(self) -> str:
-        return "run" if self.shard is None else f"shard[{self.shard.index}]"
 
 
 @dataclass
@@ -81,8 +75,6 @@ class _TaskResult:
     seconds: float
     stats: StatSnapshot
     attempts: int = 1
-    #: Serialized span tree of this task (deterministic — no wall-clock).
-    spans: list = field(default_factory=list)
     #: (attempt, error repr) per transient failure that was retried, in
     #: attempt order — lets the parent emit task.retry events post-hoc.
     retry_errors: list = field(default_factory=list)
@@ -105,7 +97,6 @@ class TaskFailure:
     traceback: str
     attempts: int = 1
     seconds: float = 0.0
-    spans: list = field(default_factory=list)
     retry_errors: list = field(default_factory=list)
     #: As on :class:`_TaskResult`; 0.0 for a task whose result was lost.
     started: float = 0.0
@@ -127,9 +118,6 @@ class ExperimentOutcome:
     error: str = ""
     error_traceback: str = ""
     retries: int = 0
-    #: Serialized experiment-level span tree (deterministic; see
-    #: repro.obs.spans — wall-clock never enters this form).
-    spans: dict = field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
@@ -204,64 +192,37 @@ def _execute_task(task: TaskSpec) -> Union[_TaskResult, TaskFailure]:
     are retried up to ``task.retries`` times with capped exponential
     backoff; deterministic failures return immediately.  The return value
     is always picklable, so nothing can propagate out of the worker pool.
-
-    Each attempt is recorded as a span under this task's shard span
-    (``attempt[n]``, status ok/error/timeout; a ``timeout`` child marks
-    the budget that fired, a ``retry[n]`` sibling the backoff taken), so
-    the parent can reconstruct exactly what every worker did.
+    Each retried error travels back in ``retry_errors``, from which the
+    parent emits the ``task.retry`` events.
     """
     faults = task.faults if task.faults is not None else FaultPlan.from_env()
-    recorder = SpanRecorder(enabled=task.record_spans)
-    shard_span = recorder.start(
-        task.span_name,
-        "shard",
-        experiment=task.experiment_id,
-        shard=task.shard_index,
-    )
     retry_errors: list = []
     started = time.perf_counter()
     stamp = time.monotonic()
     attempt = 0
     while True:
         attempt += 1
-        attempt_span = shard_span.child(f"attempt[{attempt}]", "attempt", attempt=attempt)
         try:
             result = _run_attempt(task, attempt, faults)
-            attempt_span.finish("ok")
-            shard_span.finish("ok")
-            result.spans = recorder.to_dicts()
             result.retry_errors = retry_errors
             result.started, result.ended = stamp, time.monotonic()
             return result
         except Exception as exc:
-            kind = failure_kind(exc)
-            if kind == "timeout":
-                attempt_span.child(
-                    "timeout", "timeout", budget=task.task_timeout
-                ).finish("timeout")
-            attempt_span.attrs["error"] = repr(exc)
-            attempt_span.finish("timeout" if kind == "timeout" else "error")
-            failure = TaskFailure(
-                experiment_id=task.experiment_id,
-                shard_index=task.shard_index,
-                error=repr(exc),
-                exc_type=type(exc).__name__,
-                traceback=traceback_mod.format_exc(),
-                attempts=attempt,
-                seconds=time.perf_counter() - started,
-                retry_errors=retry_errors,
-                started=stamp,
-                ended=time.monotonic(),
-            )
             if attempt > task.retries or not is_transient(exc):
-                shard_span.finish("error")
-                failure.spans = recorder.to_dicts()
-                return failure
+                return TaskFailure(
+                    experiment_id=task.experiment_id,
+                    shard_index=task.shard_index,
+                    error=repr(exc),
+                    exc_type=type(exc).__name__,
+                    traceback=traceback_mod.format_exc(),
+                    attempts=attempt,
+                    seconds=time.perf_counter() - started,
+                    retry_errors=retry_errors,
+                    started=stamp,
+                    ended=time.monotonic(),
+                )
             retry_errors.append((attempt, repr(exc)))
             delay = min(task.backoff_cap, task.backoff * (2 ** (attempt - 1)))
-            shard_span.child(
-                f"retry[{attempt + 1}]", "retry", attempt=attempt + 1, backoff=delay
-            ).finish("ok")
             if delay > 0:
                 time.sleep(delay)
 
@@ -291,7 +252,6 @@ class CampaignRunner:
         fault_plan: Optional[FaultPlan] = None,
         retry_backoff: float = 0.1,
         retry_backoff_cap: float = 2.0,
-        spans: bool = True,
         event_log: Optional[CampaignEventLog] = None,
     ) -> None:
         self.jobs = max(1, int(jobs)) if jobs else (os.cpu_count() or 1)
@@ -302,8 +262,6 @@ class CampaignRunner:
         self.fault_plan = fault_plan
         self.retry_backoff = retry_backoff
         self.retry_backoff_cap = retry_backoff_cap
-        #: Span recording (task granularity; ``False`` takes the no-op path).
-        self.spans = spans
         #: Lifecycle event sink; a fresh in-memory log is created per run
         #: when none is supplied, so ``last_events`` always works.
         self.event_log = event_log
@@ -321,12 +279,7 @@ class CampaignRunner:
     def _outcome_from_entry(
         self, exp_id: str, entry: dict, load_seconds: float
     ) -> ExperimentOutcome:
-        stats = {
-            name: (kind, value)
-            for name, (kind, value) in (
-                (n, tuple(kv)) for n, kv in entry.get("stats", {}).items()
-            )
-        }
+        stats = {name: tuple(kv) for name, kv in entry.get("stats", {}).items()}
         return ExperimentOutcome(
             experiment_id=exp_id,
             result=ExperimentResult.from_json(entry["result"]),
@@ -335,93 +288,19 @@ class CampaignRunner:
             n_shards=int(entry.get("n_shards", 1)),
             cached=True,
             stats=stats,
-            spans=self._experiment_span(
-                exp_id, entry.get("spans", []), status="cached", lookup="hit"
-            ),
         )
 
     @staticmethod
     def _entry_from_outcome(outcome: ExperimentOutcome) -> dict:
-        # Like the campaign.* stat strip below: the cache_lookup span
-        # describes *this* run's cache luck, so only the shard subtrees
-        # are stored; hydration re-attaches a fresh lookup span.  The
-        # stored spans carry no wall-clock by construction (Span.to_dict).
-        shard_spans = [
-            s
-            for s in outcome.spans.get("children", ())
-            if s.get("kind") != "cache_lookup"
-        ]
         return {
             "experiment_id": outcome.experiment_id,
             "result": outcome.result.to_json(),
-            # campaign.* counters describe *this* run's scheduling luck,
-            # not the experiment's content — a warm hit must not replay them.
-            "stats": {
-                n: list(kv)
-                for n, kv in outcome.stats.items()
-                if not n.startswith("campaign.")
-            },
-            "spans": shard_spans,
+            "stats": {n: list(kv) for n, kv in outcome.stats.items()},
             "worker_seconds": outcome.worker_seconds,
             "n_shards": outcome.n_shards,
         }
 
-    # -- span plumbing ---------------------------------------------------------
-
-    def _experiment_span(
-        self,
-        exp_id: str,
-        shard_spans: Sequence[dict],
-        status: str,
-        lookup: Optional[str] = None,
-    ) -> dict:
-        """The experiment-level span node (empty dict when spans are off)."""
-        if not self.spans:
-            return {}
-        children: List[dict] = []
-        if lookup is not None:
-            children.append(
-                {"name": "cache.lookup", "kind": "cache_lookup", "status": lookup}
-            )
-        children.extend(s for s in shard_spans if s)
-        return merge_span_trees(exp_id, "experiment", children, status=status)
-
-    def span_tree(self) -> dict:
-        """The merged campaign span tree of the most recent :meth:`run`.
-
-        Deterministic by construction: children are in requested-id order
-        (experiments) and shard-index order (tasks), and the serialized
-        spans carry no wall-clock fields — ``--jobs 1`` and ``--jobs N``
-        return bit-identical trees.
-        """
-        if not self.spans:
-            return {}
-        status = "error" if any(o.failed for o in self.last_outcomes) else "ok"
-        return merge_span_trees(
-            "campaign",
-            "campaign",
-            [o.spans for o in self.last_outcomes if o.spans],
-            status=status,
-        )
-
     # -- failure plumbing ------------------------------------------------------
-
-    @staticmethod
-    def _record_campaign_counters(n_failed: int, n_retries: int) -> None:
-        """Bump the process-default stats registry, when one is installed."""
-        from ..obs import get_default_obs
-
-        obs = get_default_obs()
-        if obs is None:
-            return
-        if n_failed:
-            obs.registry.counter(
-                FAILED_TASKS_STAT, "campaign tasks that exhausted their attempts"
-            ).inc(n_failed)
-        if n_retries:
-            obs.registry.counter(
-                RETRIES_STAT, "transient-fault task re-attempts"
-            ).inc(n_retries)
 
     @staticmethod
     def _failed_result(exp_id: str, detail: str) -> ExperimentResult:
@@ -511,7 +390,6 @@ class CampaignRunner:
                     backoff=self.retry_backoff,
                     backoff_cap=self.retry_backoff_cap,
                     faults=self.fault_plan,
-                    record_spans=self.spans,
                 )
                 for shard in shards
             )
@@ -539,8 +417,6 @@ class CampaignRunner:
             exp_id: [] for exp_id in plans
         }
 
-        lookup_status = "miss" if self.cache is not None else None
-
         def finish(exp_id: str) -> None:
             results = done[exp_id]
             failures = [t for t in results if isinstance(t, TaskFailure)]
@@ -558,22 +434,12 @@ class CampaignRunner:
                 else 0.0
             )
             worker = sum(t.seconds for t in results)
-            all_spans = [
-                span
-                for t in sorted(results, key=lambda t: t.shard_index)
-                for span in t.spans
-            ]
             if failures:
                 first = failures[0]
                 detail = (
                     f"{len(failures)}/{len(results)} task(s) failed after "
                     f"{first.attempts} attempt(s); first: {first.error}"
                 )
-                stats: StatSnapshot = {
-                    FAILED_TASKS_STAT: ("counter", len(failures))
-                }
-                if n_retries:
-                    stats[RETRIES_STAT] = ("counter", n_retries)
                 outcome = ExperimentOutcome(
                     experiment_id=exp_id,
                     result=self._failed_result(exp_id, detail),
@@ -581,17 +447,12 @@ class CampaignRunner:
                     worker_seconds=worker,
                     n_shards=len(results),
                     cached=False,
-                    stats=stats,
                     failed=True,
                     error=first.error,
                     error_traceback=first.traceback,
                     retries=n_retries,
-                    spans=self._experiment_span(
-                        exp_id, all_spans, status="error", lookup=lookup_status
-                    ),
                 )
                 outcomes[exp_id] = outcome
-                self._record_campaign_counters(len(failures), n_retries)
                 events.emit(
                     "experiment.done",
                     experiment=exp_id,
@@ -608,10 +469,6 @@ class CampaignRunner:
                 )
             else:
                 result = successes[0].payload
-            stats = merge_snapshots([t.stats for t in successes])
-            if n_retries:
-                stats = dict(stats)
-                stats[RETRIES_STAT] = ("counter", n_retries)
             outcome = ExperimentOutcome(
                 experiment_id=exp_id,
                 result=result,
@@ -619,14 +476,10 @@ class CampaignRunner:
                 worker_seconds=worker,
                 n_shards=len(successes),
                 cached=False,
-                stats=stats,
+                stats=merge_snapshots([t.stats for t in successes]),
                 retries=n_retries,
-                spans=self._experiment_span(
-                    exp_id, all_spans, status="ok", lookup=lookup_status
-                ),
             )
             outcomes[exp_id] = outcome
-            self._record_campaign_counters(0, n_retries)
             if self.cache is not None and exp_id in keys:
                 self.cache.put(exp_id, keys[exp_id], self._entry_from_outcome(outcome))
             checks = result.checks

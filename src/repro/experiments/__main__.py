@@ -24,13 +24,12 @@ and ``--jobs N`` produce bit-identical tables/metrics/checks (see
 docs/campaign.md for the determinism contract).
 
 ``--stats-out`` writes the hierarchical stats dump merged across every
-worker (plus the parent's per-experiment wall-clock profile and the
-campaign span tree) as JSON.  Pretty-print it with ``python -m repro.obs
-stats.json``; re-render it with ``--format openmetrics`` / ``folded``.
-``--metrics-out`` writes the same merged stats directly as an
-OpenMetrics/Prometheus textfile (plus ``PATH.folded`` flamegraph input),
-and ``--events-out`` streams live campaign lifecycle events as JSONL for
-``python -m repro.tools.campaign_top``.
+worker, the parent's per-experiment wall-clock profile and each stat's
+kind as JSON.  Pretty-print it with ``python -m repro.obs stats.json``;
+render it as OpenMetrics or folded stacks with ``--format openmetrics`` /
+``folded``.  ``--events-out`` streams the campaign lifecycle events (the
+one record of how the campaign ran: attempts, retries, failures, cache
+hits) as JSONL for ``python -m repro.tools.campaign_top``.
 """
 
 from __future__ import annotations
@@ -121,14 +120,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--stats-out",
         metavar="PATH",
-        help="dump merged hierarchical stats + phase profile + span-tree "
-        "JSON after the run",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="dump the merged stats as an OpenMetrics/Prometheus textfile "
-        "(plus PATH.folded, a flamegraph-compatible folded-stack profile)",
+        help="dump merged hierarchical stats + phase profile + stat kinds "
+        "as JSON after the run (render with python -m repro.obs PATH)",
     )
     parser.add_argument(
         "--events-out",
@@ -137,13 +130,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "cache_hit/done/failed) as JSONL; tail it live with "
         "python -m repro.tools.campaign_top PATH --follow",
     )
-    parser.add_argument(
-        "--no-spans",
-        action="store_true",
-        help="disable campaign span recording (spans are task-granularity "
-        "and near-free; this exists for overhead A/B measurement)",
-    )
     args = parser.parse_args(argv)
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.retries < 0:
+        parser.error(f"--retries must be >= 0, got {args.retries}")
+    if args.task_timeout is not None and args.task_timeout <= 0:
+        parser.error(f"--task-timeout must be > 0, got {args.task_timeout:g}")
 
     if args.experiment == "list":
         for exp_id in registry.all_ids():
@@ -168,7 +161,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         progress=lambda msg: print(f"[campaign] {msg}", file=sys.stderr),
         retries=args.retries,
         task_timeout=args.task_timeout,
-        spans=not args.no_spans,
         event_log=event_log,
     )
     profiler = Profiler()
@@ -180,9 +172,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             event_log.close()
     if args.stats_out:
         print(f"wrote {args.stats_out}")
-    if args.metrics_out:
-        _write_metrics(args.metrics_out, runner, profiler)
-        print(f"wrote {args.metrics_out}")
     if args.events_out:
         print(f"wrote {args.events_out}")
     failed = [o for o in runner.last_outcomes if o.failed]
@@ -256,34 +245,15 @@ def _write_stats(path: str, runner, profiler) -> None:
     from ..campaign import merge_snapshots, snapshot_values
     from ..obs import nest_dotted
 
-    outcomes = runner.last_outcomes
-    merged = merge_snapshots([o.stats for o in outcomes])
+    merged = merge_snapshots([o.stats for o in runner.last_outcomes])
     doc = {
         "stats": nest_dotted(snapshot_values(merged)),
         "profile": profiler.to_dict(),
-        "spans": runner.span_tree(),
+        "kinds": {name: kind for name, (kind, _) in merged.items()},
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-
-
-def _write_metrics(path: str, runner, profiler) -> None:
-    """The ``--metrics-out`` pair: OpenMetrics textfile + folded stacks.
-
-    ``PATH`` gets the merged campaign stats in Prometheus-textfile form;
-    ``PATH.folded`` gets the parent's phase profile as flamegraph input.
-    """
-    from ..campaign import merge_snapshots
-    from ..obs import profiler_to_folded, to_openmetrics
-
-    merged = merge_snapshots([o.stats for o in runner.last_outcomes])
-    snapshot = {name: entry for name, (_, entry) in merged.items()}
-    kinds = {name: kind for name, (kind, _) in merged.items()}
-    with open(path, "w") as fh:
-        fh.write(to_openmetrics(snapshot, kinds))
-    with open(path + ".folded", "w") as fh:
-        fh.write(profiler_to_folded(profiler.to_dict()))
 
 
 if __name__ == "__main__":

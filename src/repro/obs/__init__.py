@@ -56,35 +56,23 @@ from .registry import (
     StatRegistry,
     nest_dotted,
 )
-from .spans import (
-    NULL_RECORDER,
-    Span,
-    SpanRecorder,
-    merge_span_trees,
-    strip_timing,
-)
 
 __all__ = [
     "Counter",
     "Distribution",
     "Formula",
     "Gauge",
-    "NULL_RECORDER",
     "Observability",
     "Profiler",
-    "Span",
-    "SpanRecorder",
     "Stat",
     "StatRegistry",
     "get_default_obs",
-    "merge_span_trees",
     "nest_dotted",
     "observe",
     "parse_openmetrics",
     "profiler_to_folded",
     "registry_to_openmetrics",
     "set_default_obs",
-    "strip_timing",
     "to_openmetrics",
 ]
 

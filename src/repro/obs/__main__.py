@@ -7,7 +7,10 @@ Usage::
     python -m repro.obs stats.json --prefix l1d         # one subtree
     python -m repro.obs stats.json --format openmetrics # Prometheus textfile
     python -m repro.obs stats.json --format folded      # flamegraph input
-    python -m repro.obs stats.json --spans              # campaign span tree
+
+This is the one OpenMetrics/folded renderer: it types each metric from the
+dump's ``kinds`` section (dotted name -> stat kind), so an offline render
+of a campaign dump equals a render of the live merged snapshot.
 """
 
 from __future__ import annotations
@@ -92,12 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--profile", action="store_true", help="also show the phase-timing table"
     )
-    parser.add_argument(
-        "--spans",
-        action="store_true",
-        help="also render the campaign span tree (experiments --stats-out "
-        "dumps include one)",
-    )
     args = parser.parse_args(argv)
 
     with open(args.path) as fh:
@@ -125,7 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for name, entry in flat.items()
                 if name == args.prefix or name.startswith(dotted)
             }
-        sys.stdout.write(to_openmetrics(flat))
+        sys.stdout.write(to_openmetrics(flat, doc.get("kinds")))
         return 0
 
     rows = _flatten(stats)
@@ -158,16 +155,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in sorted(phases, key=lambda p: -phases[p]["seconds"]):
             entry = phases[name]
             print(f"{name:<{pw}}  {entry['seconds']:>10.3f}  {entry['calls']:>6}")
-
-    if args.spans:
-        from .spans import Span
-
-        tree = doc.get("spans")
-        print()
-        if tree:
-            sys.stdout.write(Span.from_dict(tree).render())
-        else:
-            print("(no span tree in this dump)")
     return 0
 
 

@@ -19,9 +19,9 @@ external tooling already speaks:
   format of ``flamegraph.pl`` and every speedscope-style viewer.  Dotted
   phase names become stack frames.
 
-The experiments CLI wires these as ``--metrics-out`` (written beside
-``--stats-out`` after a campaign) and ``python -m repro.obs <dump>
---format openmetrics`` re-renders an existing JSON dump.
+``python -m repro.obs <dump> --format openmetrics|folded`` renders a
+``--stats-out`` dump through these, typing each metric from the dump's
+``kinds`` section.
 """
 
 from __future__ import annotations

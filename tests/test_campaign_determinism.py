@@ -86,12 +86,7 @@ class TestJobsInvariance:
 
 
 class TestObservabilityInvariance:
-    """Spans and canonical events are part of the determinism contract."""
-
-    def test_span_trees_bit_identical_across_jobs(self, jobs1_runner, jobs4_runner):
-        t1 = json.dumps(jobs1_runner.span_tree(), sort_keys=True)
-        t4 = json.dumps(jobs4_runner.span_tree(), sort_keys=True)
-        assert t1 == t4
+    """Canonical events are part of the determinism contract."""
 
     def test_canonical_events_bit_identical_across_jobs(
         self, jobs1_runner, jobs4_runner
@@ -102,22 +97,23 @@ class TestObservabilityInvariance:
         e4 = json.dumps(canonical_events(jobs4_runner.last_events), sort_keys=True)
         assert e1 == e4
 
-    def test_span_tree_structure(self, jobs1_runner):
-        tree = jobs1_runner.span_tree()
-        assert tree["kind"] == "campaign" and tree["status"] == "ok"
-        by_name = {c["name"]: c for c in tree["children"]}
-        assert sorted(by_name) == sorted(REPRESENTATIVE)
-        for exp_id, node in by_name.items():
+    def test_events_cover_every_planned_shard(self, jobs1_runner):
+        events = jobs1_runner.last_events
+        for exp_id in REPRESENTATIVE:
             plan = get(exp_id).shard_plan(quick=True, seed=0)
-            shards = [c for c in node["children"] if c["kind"] == "shard"]
-            assert len(shards) == len(plan), exp_id
-            for shard_node in shards:
-                kinds = [c["kind"] for c in shard_node["children"]]
-                assert kinds == ["attempt"]
-
-    def test_spans_carry_no_wall_clock(self, jobs1_runner):
-        blob = json.dumps(jobs1_runner.span_tree())
-        assert '"seconds"' not in blob and '"t"' not in blob
+            indices = [s.index for s in plan]
+            for kind in ("task.submit", "task.done"):
+                shards = [
+                    e["shard"]
+                    for e in events
+                    if e["event"] == kind and e["experiment"] == exp_id
+                ]
+                assert sorted(shards) == indices, (exp_id, kind)
+            assert all(
+                e["attempts"] == 1
+                for e in events
+                if e["event"] == "task.done" and e["experiment"] == exp_id
+            )
 
     def test_live_events_cover_every_task(self, jobs1_runner):
         events = jobs1_runner.last_events
@@ -164,18 +160,15 @@ class TestCacheBehavior:
         assert warm[0].cached
         assert stats_json(cold) == stats_json(warm)
 
-    def test_default_obs_registry_mirrors_hits_and_misses(self, tmp_path):
-        from repro.obs import Observability, observe
-
+    def test_hits_and_misses_counted_by_cache_and_events(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         runner = CampaignRunner(jobs=1, cache=cache)
-        with observe(Observability()) as obs:
-            runner.run(ids=self.IDS, quick=True, seed=0)  # all misses
-            runner.run(ids=self.IDS, quick=True, seed=0)  # all hits
-            snap = obs.registry.snapshot()
-        assert snap["campaign.cache.hits"] == len(self.IDS)
-        assert snap["campaign.cache.misses"] == len(self.IDS)
-        assert snap["campaign.cache.hit_rate"] == 0.5
+        runner.run(ids=self.IDS, quick=True, seed=0)  # all misses
+        assert runner.last_events[-1]["cache_hits"] == 0
+        runner.run(ids=self.IDS, quick=True, seed=0)  # all hits
+        assert runner.last_events[-1]["event"] == "campaign.done"
+        assert runner.last_events[-1]["cache_hits"] == len(self.IDS)
+        assert (cache.hits, cache.misses) == (len(self.IDS), len(self.IDS))
 
     def test_cache_counters_never_stored_in_entries(self, tmp_path):
         from repro.obs import Observability, observe
@@ -192,28 +185,21 @@ class TestCacheBehavior:
         )
         assert "campaign." not in open(entry_path).read()
 
-    def test_cache_lookup_spans_reflect_this_run(self, tmp_path):
-        """cache_lookup spans are per-run luck: miss cold, hit warm, and
-        never stored inside the entry itself."""
+    def test_cache_lookup_events_reflect_this_run(self, tmp_path):
+        """A cold run submits every shard and hits nothing; a warm run
+        submits nothing and reports one hit covering the whole plan."""
         cache = ResultCache(str(tmp_path / "cache"))
         runner = CampaignRunner(jobs=1, cache=cache)
-        cold = runner.run(ids=["fig9"], quick=True, seed=0)
-        lookups = [
-            c for c in cold[0].spans["children"] if c["kind"] == "cache_lookup"
-        ]
-        assert [s["status"] for s in lookups] == ["miss"]
+        runner.run(ids=["fig9"], quick=True, seed=0)
+        cold = [e["event"] for e in runner.last_events]
+        plan = get("fig9").shard_plan(quick=True, seed=0)
+        assert cold.count("task.submit") == len(plan)
+        assert "task.cache_hit" not in cold
 
-        warm = runner.run(ids=["fig9"], quick=True, seed=0)
-        assert warm[0].spans["status"] == "cached"
-        lookups = [
-            c for c in warm[0].spans["children"] if c["kind"] == "cache_lookup"
-        ]
-        assert [s["status"] for s in lookups] == ["hit"]
-        # Identical shard subtrees either way — the entry stores only those.
-        strip = lambda node: [
-            c for c in node["children"] if c["kind"] != "cache_lookup"
-        ]
-        assert strip(cold[0].spans) == strip(warm[0].spans)
+        runner.run(ids=["fig9"], quick=True, seed=0)
+        assert "task.submit" not in [e["event"] for e in runner.last_events]
+        (hit,) = [e for e in runner.last_events if e["event"] == "task.cache_hit"]
+        assert hit["experiment"] == "fig9" and hit["shards"] == len(plan)
 
     def test_clear_empties_the_cache(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))

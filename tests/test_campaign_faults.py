@@ -5,8 +5,8 @@ exception never aborts a campaign.  The failing experiment degrades to a
 ``failed`` :class:`ExperimentOutcome` carrying the error and traceback,
 every other experiment completes with bit-identical results, transient
 faults retry with backoff, hangs die at ``task_timeout``, and the
-``campaign.tasks.failed`` / ``campaign.retries`` counters record what
-happened.  All of it driven by the deterministic fault-injection plan in
+lifecycle events (``task.retry``, ``task.failed``, ``campaign.done``)
+record what happened.  All of it driven by the deterministic fault-injection plan in
 :mod:`repro.campaign.faults`, under both ``jobs=1`` and pooled execution.
 """
 
@@ -29,7 +29,7 @@ from repro.campaign.runner import ExperimentOutcome, TaskFailure
 from repro.common.errors import ConfigError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import experiment_timings, render_markdown, write_report
-from repro.obs import Observability, Profiler, observe
+from repro.obs import Profiler
 
 #: Cheap experiments: fig3 shards 4 ways in ~0.1s, fig1 is one whole-run task.
 SHARDED, WHOLE = "fig3", "fig1"
@@ -117,7 +117,8 @@ class TestFailureIsolation:
         assert "injected" in bad.error_traceback
         assert not bad.result.all_passed
         assert bad.result.checks[0].name == "campaign.execution"
-        assert bad.stats["campaign.tasks.failed"] == ("counter", 4)
+        assert "4/4 task(s) failed" in bad.result.checks[0].detail
+        assert bad.stats == {}
 
         good = by_id[WHOLE]
         assert not good.failed and good.result.all_passed
@@ -168,12 +169,15 @@ class TestFailureIsolation:
         timings = experiment_timings(profiler)
         assert timings[SHARDED] > 0.0 and timings[WHOLE] > 0.0
 
-    def test_default_obs_registry_counts_failures(self):
-        with observe(Observability()) as obs:
-            CampaignRunner(jobs=1, fault_plan=fail_all(SHARDED), retries=0).run(
-                ids=[SHARDED], quick=True, seed=0
-            )
-            assert obs.registry["campaign.tasks.failed"].value() == 4
+    def test_failures_counted_in_outcome_and_campaign_done(self):
+        runner = CampaignRunner(jobs=1, fault_plan=fail_all(SHARDED), retries=0)
+        (outcome,) = runner.run(ids=[SHARDED], quick=True, seed=0)
+        assert outcome.failed and outcome.retries == 0
+        failed = [e for e in runner.last_events if e["event"] == "task.failed"]
+        assert sorted(e["shard"] for e in failed) == [0, 1, 2, 3]
+        done = runner.last_events[-1]
+        assert done["event"] == "campaign.done"
+        assert done["failed"] == 1 and done["retries"] == 0
 
 
 class TestRetry:
@@ -184,7 +188,7 @@ class TestRetry:
         ).run(ids=[SHARDED], quick=True, seed=0)[0]
         assert not outcome.failed
         assert outcome.retries == 1
-        assert outcome.stats["campaign.retries"] == ("counter", 1)
+        assert not any(name.startswith("campaign.") for name in outcome.stats)
 
     def test_retried_result_identical_to_clean_run(self):
         plan = FaultPlan(specs=(FaultSpec(SHARDED, 1, 1, "OSError"),))
@@ -214,7 +218,6 @@ class TestRetry:
         assert outcome.failed
         assert "after 3 attempt(s)" in outcome.result.checks[0].detail
         assert outcome.retries == 2
-        assert outcome.stats["campaign.retries"] == ("counter", 2)
 
     def test_env_injection_drives_jobs1_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", f"{WHOLE}:-1:*:ValueError")
@@ -244,52 +247,56 @@ class TestTimeout:
         assert outcome.retries == 1
 
 
-class TestFaultSpans:
-    """Spans annotate injected faults: retry and timeout nodes survive the
-    pickle path back to the parent and land in the merged tree."""
+class TestFaultEvents:
+    """The event stream records injected faults: retries with their error,
+    the timeout budget that fired, and failed experiments."""
 
-    def _shard_node(self, runner, exp_id, index):
-        tree = runner.span_tree()
-        exp_node = next(c for c in tree["children"] if c["name"] == exp_id)
-        return next(
-            c
-            for c in exp_node["children"]
-            if c["kind"] == "shard" and c["attrs"]["shard"] == index
-        )
+    @staticmethod
+    def _task_events(runner, exp_id, shard):
+        return [
+            (e["event"], e)
+            for e in runner.last_events
+            if e.get("experiment") == exp_id and e.get("shard") == shard
+        ]
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_retry_recorded_as_spans(self, jobs):
+    def test_retry_then_done_recorded(self, jobs):
         plan = FaultPlan(specs=(FaultSpec(SHARDED, 1, 1, "OSError"),))
         runner = CampaignRunner(
             jobs=jobs, fault_plan=plan, retries=1, retry_backoff=0.001
         )
         runner.run(ids=[SHARDED], quick=True, seed=0)
-        node = self._shard_node(runner, SHARDED, 1)
-        kinds = [(c["kind"], c["status"]) for c in node["children"]]
-        assert kinds == [("attempt", "error"), ("retry", "ok"), ("attempt", "ok")]
-        first = node["children"][0]
-        assert "OSError" in first["attrs"]["error"]
-        assert node["status"] == "ok"
+        events = self._task_events(runner, SHARDED, 1)
+        kinds = [kind for kind, _ in events]
+        assert kinds == ["task.submit", "task.start", "task.retry", "task.done"]
+        retry, done = events[2][1], events[3][1]
+        assert retry["attempt"] == 1 and "OSError" in retry["error"]
+        assert done["attempts"] == 2
+        for other in (0, 2, 3):
+            (done,) = [e for k, e in self._task_events(runner, SHARDED, other)
+                       if k == "task.done"]
+            assert done["attempts"] == 1
 
-    def test_timeout_span_marks_the_budget(self):
+    def test_timeout_failure_names_the_budget(self):
         plan = FaultPlan(specs=(FaultSpec(SHARDED, 0, None, "hang"),))
         runner = CampaignRunner(jobs=1, fault_plan=plan, retries=0, task_timeout=0.3)
         runner.run(ids=[SHARDED], quick=True, seed=0)
-        node = self._shard_node(runner, SHARDED, 0)
-        assert node["status"] == "error"
-        attempt = node["children"][0]
-        assert attempt["status"] == "timeout"
-        (timeout,) = attempt["children"]
-        assert timeout["kind"] == "timeout" and timeout["status"] == "timeout"
-        assert timeout["attrs"]["budget"] == 0.3
+        (failed,) = [e for k, e in self._task_events(runner, SHARDED, 0)
+                     if k == "task.failed"]
+        assert failed["attempts"] == 1
+        assert "TaskTimeout" in failed["error"]
+        assert "--task-timeout=0.3s" in failed["error"]
 
-    def test_failed_campaign_tree_is_marked(self):
+    def test_failed_experiment_marked_in_events(self):
         runner = CampaignRunner(jobs=1, fault_plan=fail_all(SHARDED), retries=0)
         runner.run(ids=[SHARDED], quick=True, seed=0)
-        tree = runner.span_tree()
-        assert tree["status"] == "error"
-        exp_node = tree["children"][0]
-        assert exp_node["status"] == "error"
+        (exp_done,) = [
+            e for e in runner.last_events if e["event"] == "experiment.done"
+        ]
+        assert exp_done["experiment"] == SHARDED
+        assert exp_done["status"] == "failed"
+        assert runner.last_events[-1]["event"] == "campaign.done"
+        assert runner.last_events[-1]["failed"] == 1
 
     def test_retry_and_failure_events_emitted(self):
         plan = FaultPlan(specs=(FaultSpec(SHARDED, 1, 1, "OSError"),))
@@ -409,3 +416,23 @@ class TestJsonPathFix:
             "out", "fig3_res.json"
         )
         assert _json_path("res.json", "fig3", multiple=True) == "fig3_res.json"
+
+
+class TestCliOptionRanges:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
+            ("--retries", "-1"),
+            ("--task-timeout", "0"),
+            ("--task-timeout", "-5"),
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, flag, value, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fig9", "--quick", "--no-cache", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

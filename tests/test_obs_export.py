@@ -89,7 +89,7 @@ class TestRoundTrip:
             parse_openmetrics('repro_x{other="y"} 1\n# EOF\n')
 
     def test_campaign_merged_snapshot_round_trips(self):
-        """The --metrics-out path: merged worker snapshots round-trip."""
+        """The campaign merge path: merged worker snapshots round-trip."""
         from repro.campaign import CampaignRunner, merge_snapshots
 
         runner = CampaignRunner(jobs=1)

@@ -132,14 +132,13 @@ class TestStatsOutCli:
         path = tmp_path / "stats.json"
         assert main(["fig3", "--quick", "--stats-out", str(path)]) == 0
         doc = json.loads(path.read_text())
-        assert set(doc) == {"stats", "profile", "spans"}
+        assert set(doc) == {"stats", "profile", "kinds"}
         stats = doc["stats"]
         for component in ("core", "l1d", "l2", "defense", "dram", "mshr"):
             assert component in stats, component
         assert stats["core"]["squashes"] > 0
         assert doc["profile"]["experiment.fig3"]["calls"] == 1
-        assert doc["spans"]["kind"] == "campaign"
-        assert doc["spans"]["children"][0]["name"] == "fig3"
+        assert doc["kinds"]["core.squashes"] == "counter"
 
     def test_default_obs_not_leaked_by_cli(self, tmp_path):
         from repro.experiments.__main__ import main
@@ -149,22 +148,26 @@ class TestStatsOutCli:
 
 
 class TestMetricsAndEventsCli:
-    def test_metrics_out_writes_openmetrics_and_folded(self, tmp_path):
+    def test_offline_render_keeps_stat_kinds(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
         from repro.obs import parse_openmetrics
+        from repro.obs.__main__ import main as obs_main
 
-        prom = tmp_path / "metrics.prom"
+        path = tmp_path / "stats.json"
         assert (
-            main(["fig3", "--quick", "--no-cache", "--metrics-out", str(prom)])
+            main(["fig3", "--quick", "--no-cache", "--stats-out", str(path)])
             == 0
         )
-        text = prom.read_text()
+        capsys.readouterr()
+        assert obs_main([str(path), "--format", "openmetrics"]) == 0
+        text = capsys.readouterr().out
         assert text.endswith("# EOF\n")
         snapshot, kinds = parse_openmetrics(text)
         assert snapshot["core.cycles"] > 0
         assert kinds["core.cycles"] == "counter"
-        folded = (tmp_path / "metrics.prom.folded").read_text()
-        assert folded.startswith("experiment;fig3 ")
+        assert kinds["core.run.cycles"] == "distribution"
+        assert obs_main([str(path), "--format", "folded"]) == 0
+        assert capsys.readouterr().out.startswith("experiment;fig3 ")
 
     def test_events_out_streams_full_lifecycle(self, tmp_path):
         from repro.campaign.events import read_events
@@ -179,14 +182,6 @@ class TestMetricsAndEventsCli:
         kinds = [e["event"] for e in events]
         assert kinds[0] == "campaign.start" and kinds[-1] == "campaign.done"
         assert "task.done" in kinds
-
-    def test_no_spans_flag_empties_the_stats_dump_tree(self, tmp_path):
-        from repro.experiments.__main__ import main
-
-        path = tmp_path / "stats.json"
-        main(["fig9", "--quick", "--no-cache", "--no-spans",
-              "--stats-out", str(path)])
-        assert json.loads(path.read_text())["spans"] == {}
 
 
 class TestObsCliRendering:
@@ -241,17 +236,3 @@ class TestObsCliRendering:
         )
         assert main([path, "--format", "folded"]) == 0
         assert capsys.readouterr().out == "experiment;fig3 500000\n"
-
-    def test_spans_flag_renders_tree(self, tmp_path, capsys):
-        from repro.obs.__main__ import main
-
-        doc = {
-            "stats": {"x": {"y": 1}},
-            "spans": {"name": "campaign", "kind": "campaign", "status": "ok",
-                      "children": [{"name": "fig3", "kind": "experiment",
-                                    "status": "ok"}]},
-        }
-        assert main([self._dump(tmp_path, doc), "--spans"]) == 0
-        out = capsys.readouterr().out
-        assert "campaign [campaign/ok]" in out
-        assert "  fig3 [experiment/ok]" in out
